@@ -38,7 +38,7 @@ use hotg_core::{
 };
 use hotg_lang::{compile, corpus, InputVector};
 use hotg_logic::{Formula, LogicArena};
-use hotg_solver::{SmtConfig, SmtSession, SmtSolver};
+use hotg_solver::SmtSolver;
 use std::fmt::Write as _;
 use std::str::FromStr;
 use std::sync::{Arc, Mutex};
@@ -55,7 +55,7 @@ const SOLVER_BENCH_PROGRAMS: [&str; 2] = ["fanout", "budget_cliff"];
 
 /// Replay volume floor: the recorded stream is replayed in whole-stream
 /// rounds until at least this many queries ran, so both legs time enough
-/// work to be stable on CI hosts — and so the session leg's cross-round
+/// work to be stable on CI hosts — and so the reuse leg's cross-round
 /// cache reuse (a generation re-posing equivalent queries) is exercised.
 const SOLVER_BENCH_MIN_QUERIES: usize = 150;
 
@@ -160,6 +160,20 @@ fn run_via_events(driver: &Driver<'_>, technique: Technique) -> (Report, usize, 
 /// Field-by-field diff between a driver report and the event-stream
 /// fold. Everything except wall clock must agree.
 fn fold_mismatches(report: &Report, folded: &Report) -> Vec<String> {
+    let mut out = parity_mismatches(report, folded);
+    let (want, got) = (cache_split(report), cache_split(folded));
+    if got != want {
+        out.push(format!("cache: report {want} vs event fold {got}"));
+    }
+    out
+}
+
+/// [`fold_mismatches`] minus the cache hit/miss split: the diff between
+/// two campaigns that must agree on every result but may schedule their
+/// queries differently (a sharded run against its single-shard
+/// baseline). Which worker or shard poses a query first decides whether
+/// it misses, so the split is not part of campaign parity.
+fn parity_mismatches(report: &Report, folded: &Report) -> Vec<String> {
     let mut out = Vec::new();
     let mut diff = |field: &str, got: String, want: String| {
         if got != want {
@@ -230,11 +244,6 @@ fn fold_mismatches(report: &Report, folded: &Report) -> Vec<String> {
         format!("{:?}", report.generation_widths),
     );
     diff(
-        "cache",
-        format!("{}/{}", folded.cache_hits, folded.cache_misses),
-        format!("{}/{}", report.cache_hits, report.cache_misses),
-    );
-    diff(
         "fault_kinds",
         format!("{:?}", folded.fault_kinds),
         format!("{:?}", report.fault_kinds),
@@ -255,6 +264,11 @@ fn fold_mismatches(report: &Report, folded: &Report) -> Vec<String> {
         report.campaign_timed_out.to_string(),
     );
     out
+}
+
+/// A report's cache split as `hits/misses`.
+fn cache_split(r: &Report) -> String {
+    format!("{}/{}", r.cache_hits, r.cache_misses)
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
@@ -345,10 +359,9 @@ struct SolverBenchRow {
     /// Total replayed queries per leg (`recorded * rounds`).
     queries: usize,
     baseline_qps: f64,
-    session_qps: f64,
+    reuse_qps: f64,
     speedup: f64,
     intern_hits: u64,
-    clauses_reused: u64,
     cache_hits: u64,
     pass: bool,
 }
@@ -376,10 +389,9 @@ fn capture_query_stream(name: &str) -> Vec<Formula> {
 
 /// Replays a captured query stream through both legs: a fresh solver
 /// per query (per-query encode-and-search cost with no reuse of any
-/// kind — what every cache-missing query cost before the session
-/// machinery existed) versus one arena-backed solver with a single
-/// incremental [`SmtSession`] carrying the query cache, the memoized
-/// normalization arena, and CDCL-learned clauses across the stream.
+/// kind) versus one arena-backed solver queried through
+/// [`SmtSolver::check`], carrying the query cache and the memoized
+/// normalization arena across the stream.
 fn solver_replay(program: &'static str, stream: &[Formula]) -> SolverBenchRow {
     let recorded = stream.len();
     let rounds = if recorded == 0 {
@@ -395,32 +407,26 @@ fn solver_replay(program: &'static str, stream: &[Formula]) -> SolverBenchRow {
         }
     }
     let baseline_s = start.elapsed().as_secs_f64();
-    let solver = SmtSolver::with_config(SmtConfig {
-        incremental: true,
-        ..SmtConfig::new()
-    })
-    .with_arena(Arc::new(LogicArena::new()));
-    let session = SmtSession::for_solver(&solver);
+    let solver = SmtSolver::new().with_arena(Arc::new(LogicArena::new()));
     let start = Instant::now();
     for _ in 0..rounds {
         for q in stream {
-            let _ = session.check_with(&solver, q);
+            let _ = solver.check(q);
         }
     }
-    let session_s = start.elapsed().as_secs_f64();
-    let stats = session.stats();
+    let reuse_s = start.elapsed().as_secs_f64();
     let baseline_qps = if baseline_s > 0.0 {
         queries as f64 / baseline_s
     } else {
         0.0
     };
-    let session_qps = if session_s > 0.0 {
-        queries as f64 / session_s
+    let reuse_qps = if reuse_s > 0.0 {
+        queries as f64 / reuse_s
     } else {
         0.0
     };
     let speedup = if baseline_qps > 0.0 {
-        session_qps / baseline_qps
+        reuse_qps / baseline_qps
     } else {
         0.0
     };
@@ -430,11 +436,10 @@ fn solver_replay(program: &'static str, stream: &[Formula]) -> SolverBenchRow {
         rounds,
         queries,
         baseline_qps,
-        session_qps,
+        reuse_qps,
         speedup,
-        intern_hits: stats.intern_hits,
-        clauses_reused: stats.clauses_reused,
-        cache_hits: stats.hits,
+        intern_hits: solver.arena().stats().intern_hits,
+        cache_hits: solver.cache_stats().hits,
         pass: queries > 0 && speedup >= 3.0,
     }
 }
@@ -442,18 +447,17 @@ fn solver_replay(program: &'static str, stream: &[Formula]) -> SolverBenchRow {
 fn solver_row_json(r: &SolverBenchRow) -> String {
     format!(
         "{{\"program\": {}, \"recorded_queries\": {}, \"rounds\": {}, \
-         \"queries\": {}, \"baseline_qps\": {:.1}, \"session_qps\": {:.1}, \
-         \"speedup\": {:.3}, \"intern_hits\": {}, \"clauses_reused\": {}, \
-         \"cache_hits\": {}, \"pass\": {}}}",
+         \"queries\": {}, \"baseline_qps\": {:.1}, \"reuse_qps\": {:.1}, \
+         \"speedup\": {:.3}, \"intern_hits\": {}, \"cache_hits\": {}, \
+         \"pass\": {}}}",
         json_str(r.program),
         r.recorded,
         r.rounds,
         r.queries,
         r.baseline_qps,
-        r.session_qps,
+        r.reuse_qps,
         r.speedup,
         r.intern_hits,
-        r.clauses_reused,
         r.cache_hits,
         r.pass,
     )
@@ -923,7 +927,8 @@ fn quiet_injected_panics() {
 
 /// One sharded-campaign parity row: a program × technique campaign run
 /// as `shards` partitioned schedulers, its exchange accounting, and
-/// whether its report matched the single-shard run bit-for-bit.
+/// whether its report matched the single-shard run on every field but
+/// the schedule-dependent cache split (reported for both runs).
 struct ShardBenchRow {
     program: &'static str,
     technique: Technique,
@@ -932,6 +937,8 @@ struct ShardBenchRow {
     exchange_samples: u64,
     exchange_keys: u64,
     parity: bool,
+    cache_baseline: String,
+    cache_sharded: String,
     wall_ms: f64,
 }
 
@@ -939,7 +946,8 @@ fn shard_row_json(r: &ShardBenchRow) -> String {
     format!(
         "{{\"program\": {}, \"technique\": {}, \"shards\": {}, \
          \"per_shard_targets\": {:?}, \"exchange_samples\": {}, \
-         \"exchange_keys\": {}, \"parity\": {}, \"wall_ms\": {:.3}}}",
+         \"exchange_keys\": {}, \"parity\": {}, \"cache_baseline\": {}, \
+         \"cache_sharded\": {}, \"wall_ms\": {:.3}}}",
         json_str(r.program),
         json_str(r.technique.name()),
         r.shards,
@@ -947,6 +955,8 @@ fn shard_row_json(r: &ShardBenchRow) -> String {
         r.exchange_samples,
         r.exchange_keys,
         r.parity,
+        json_str(&r.cache_baseline),
+        json_str(&r.cache_sharded),
         r.wall_ms,
     )
 }
@@ -1111,7 +1121,8 @@ fn main() {
             let start = Instant::now();
             let report = driver.run_with_sink(technique, &mut log);
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            let parity = fold_mismatches(&baseline, &report).is_empty();
+            let parity = parity_mismatches(&baseline, &report).is_empty();
+            let (cache_baseline, cache_sharded) = (cache_split(&baseline), cache_split(&report));
             let (per_shard_targets, exchange_samples, exchange_keys) = log
                 .events()
                 .iter()
@@ -1127,7 +1138,8 @@ fn main() {
                 .unwrap_or_default();
             eprintln!(
                 "shards {name:<13} {:<18} {wall_ms:>7.1}ms  targets {:?}, \
-                 exchanged {exchange_samples} samples / {exchange_keys} keys{}",
+                 exchanged {exchange_samples} samples / {exchange_keys} keys, \
+                 cache {cache_sharded} (single-shard {cache_baseline}){}",
                 technique.name(),
                 per_shard_targets,
                 if parity { "" } else { "  PARITY FAILED" },
@@ -1140,6 +1152,8 @@ fn main() {
                 exchange_samples,
                 exchange_keys,
                 parity,
+                cache_baseline,
+                cache_sharded,
                 wall_ms,
             });
         }
@@ -1162,17 +1176,17 @@ fn main() {
             let row = solver_replay(name, stream);
             eprintln!(
                 "solver {:<14} {} queries ({} recorded × {} rounds): \
-                 {:.0} q/s baseline, {:.0} q/s session, speedup {:.2}x \
-                 ({} intern hits, {} clauses reused){}",
+                 {:.0} q/s baseline, {:.0} q/s reuse, speedup {:.2}x \
+                 ({} intern hits, {} cache hits){}",
                 row.program,
                 row.queries,
                 row.recorded,
                 row.rounds,
                 row.baseline_qps,
-                row.session_qps,
+                row.reuse_qps,
                 row.speedup,
                 row.intern_hits,
-                row.clauses_reused,
+                row.cache_hits,
                 if row.pass { "" } else { "  FAILED (< 3x)" },
             );
             row
@@ -1276,7 +1290,7 @@ fn main() {
     let resume_json: Vec<String> = resume_rows.iter().map(resume_row_json).collect();
 
     let json = format!(
-        "{{\n  \"schema\": \"hotg-campaign-bench/8\",\n  \"reduced\": {},\n  \
+        "{{\n  \"schema\": \"hotg-campaign-bench/9\",\n  \"reduced\": {},\n  \
          \"max_runs\": {},\n  \"fold_drift\": {},\n  \
          \"rows\": [\n    {}\n  ],\n  \"claims\": [\n    {}\n  ],\n  \
          \"failed_claims\": {},\n  \"chaos\": [\n    {}\n  ],\n  \
@@ -1358,7 +1372,7 @@ fn main() {
     if !solver_pass {
         eprintln!(
             "campaign-bench: solver-throughput replay below the 3x \
-             session-reuse floor"
+             solver-reuse floor"
         );
         failed = true;
     }

@@ -128,7 +128,7 @@ impl Vm<'_, '_> {
                     self.scratch.stack.push((CVal::Int(c), Sym::I(t)));
                 }
                 Instr::LoadElem(slot) => {
-                    let (ci, si) = self.pop();
+                    let (ci, si) = self.pop_operand();
                     let i = ci.int()?;
                     let idx_term = si.int();
                     let frame = &self.scratch.frames[depth];
@@ -158,15 +158,15 @@ impl Vm<'_, '_> {
                     self.scratch.stack.push((CVal::Int(value), Sym::I(term)));
                 }
                 Instr::StoreScalar(slot) => {
-                    let (c, s) = self.pop();
+                    let (c, s) = self.pop_operand();
                     let v = c.int()?;
                     let frame = &mut self.scratch.frames[depth];
                     frame.scalars[slot as usize] = v;
                     frame.sterms[slot as usize] = s.int();
                 }
                 Instr::StoreElem(slot) => {
-                    let (cv, sv) = self.pop();
-                    let (ci, si) = self.pop();
+                    let (cv, sv) = self.pop_operand();
+                    let (ci, si) = self.pop_operand();
                     let i = ci.int()?;
                     let v = cv.int()?;
                     let idx_term = si.int();
@@ -204,22 +204,22 @@ impl Vm<'_, '_> {
                     sitems.resize(len, Term::int(0));
                 }
                 Instr::Neg => {
-                    let (c, s) = self.pop();
+                    let (c, s) = self.pop_operand();
                     let v = c.int()?.checked_neg().ok_or_else(|| {
                         Fault::new(FaultKind::Overflow, "arithmetic overflow in negation")
                     })?;
                     self.scratch.stack.push((CVal::Int(v), Sym::I(-s.int())));
                 }
                 Instr::Not => {
-                    let (c, s) = self.pop();
+                    let (c, s) = self.pop_operand();
                     let v = !c.bool()?;
                     self.scratch
                         .stack
                         .push((CVal::Bool(v), Sym::B(s.boolean().negate())));
                 }
                 Instr::Bin(op) => {
-                    let (cb, sb) = self.pop();
-                    let (ca, sa) = self.pop();
+                    let (cb, sb) = self.pop_operand();
+                    let (ca, sa) = self.pop_operand();
                     let cv = eval_binop(op, ca, cb)?;
                     let sym = self
                         .sym
@@ -286,7 +286,7 @@ impl Vm<'_, '_> {
                     return Err(Fault::other(format!("callable `{name}` is not defined")));
                 }
                 Instr::Branch { id, if_false } => {
-                    let (c, s) = self.pop();
+                    let (c, s) = self.pop_operand();
                     let taken = c.bool()?;
                     let formula = s.boolean();
                     self.sym
@@ -299,7 +299,7 @@ impl Vm<'_, '_> {
                 Instr::Error(code) => return Ok(Exit::Stop(Outcome::Error(code))),
                 Instr::ReturnBare => return Ok(Exit::Stop(Outcome::Returned)),
                 Instr::ReturnValue => {
-                    let (c, s) = self.pop();
+                    let (c, s) = self.pop_operand();
                     return Ok(Exit::Ret(c.int()?, s.int()));
                 }
             }
@@ -342,7 +342,7 @@ impl Vm<'_, '_> {
         }
     }
 
-    fn pop(&mut self) -> (CVal, Sym) {
+    fn pop_operand(&mut self) -> (CVal, Sym) {
         self.scratch
             .stack
             .pop()

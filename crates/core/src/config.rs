@@ -216,8 +216,8 @@ pub struct DriverConfig {
     /// (the default) writes no durable trace.
     pub trace: Option<TraceConfig>,
     /// Optional solver-query tap: every satisfiability query the
-    /// campaign poses through its per-generation solver sessions is
-    /// appended here, pre-normalization and in query order. Escalated
+    /// campaign poses to its SMT solver is appended here,
+    /// pre-normalization and in query order. Escalated
     /// (detached) retries and validity queries are not recorded. The
     /// benchmark harness uses the captured stream for offline
     /// throughput replay; `None` (the default) records nothing and the
@@ -283,6 +283,8 @@ impl DriverConfig {
         let v = &self.validity;
         let s = &v.smt;
         let l = &s.lia;
+        // `smt.incremental=false` is a constant left from the removed
+        // incremental mode; it keeps digests of existing traces valid.
         let rendered = format!(
             "max_runs={} fuel={} seed={} random_range={:?} cross_run_samples={} \
              max_probes_per_target={} initial_inputs={:?} seed_corpus={:?} \
@@ -290,7 +292,7 @@ impl DriverConfig {
              fault_plan={:?} target_deadline={:?} campaign_deadline={:?} \
              validity.max_cubes={} validity.max_candidates={} \
              validity.counter_shifts={:?} smt.max_rounds={} \
-             smt.total_node_budget={} smt.incremental={} smt.pre_solve={} \
+             smt.total_node_budget={} smt.incremental=false smt.pre_solve={} \
              lia.var_min={} lia.var_max={} lia.node_budget={} lia.prefer_small={}",
             self.max_runs,
             self.fuel,
@@ -311,7 +313,6 @@ impl DriverConfig {
             v.counter_shifts,
             s.max_rounds,
             s.total_node_budget,
-            s.incremental,
             s.pre_solve,
             l.var_min,
             l.var_max,

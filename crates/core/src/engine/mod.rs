@@ -53,9 +53,7 @@ use hotg_concolic::{
 use hotg_lang::{BranchId, CompiledProgram, InputVector, NativeRegistry, Program};
 use hotg_logic::LogicArena;
 use hotg_logic::{Formula, Var};
-use hotg_solver::{
-    Deadline, Samples, SmtResult, SmtSession, SmtSolver, ValidityChecker, ValidityOutcome,
-};
+use hotg_solver::{Deadline, Samples, SmtResult, SmtSolver, ValidityChecker, ValidityOutcome};
 use outcome::{path_key, scale_budget, Target, TargetOutcome, WorkerRun};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -819,7 +817,6 @@ impl<'a> Engine<'a> {
         snapshot: &Samples,
         summaries: Option<&crate::summaries::SummaryTable>,
         smt: &SmtSolver,
-        session: &SmtSession,
         validity: &ValidityChecker,
         campaign_end: Deadline,
     ) -> TargetOutcome {
@@ -859,7 +856,6 @@ impl<'a> Engine<'a> {
                 snapshot,
                 summaries,
                 smt,
-                session,
                 validity,
                 tkey,
             };

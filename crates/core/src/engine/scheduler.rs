@@ -12,7 +12,7 @@ use crate::events::CampaignEvent;
 use crate::report::Origin;
 use crate::strategy::Strategy;
 use crate::summaries::{SummaryConfig, SummaryTable};
-use hotg_solver::{SmtSession, SmtSolver, ValidityChecker};
+use hotg_solver::{SmtSolver, ValidityChecker};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -48,9 +48,6 @@ impl Engine<'_> {
         let validity =
             ValidityChecker::with_config(self.config.validity).with_arena(Arc::clone(self.arena));
         let campaign_end = self.campaign_end();
-        // Session reuse totals across the campaign's generations.
-        let mut session_queries = 0u64;
-        let mut session_clauses_reused = 0u64;
 
         self.seed_phase(strategy, &mut rng, &mut st, |e| em.emit(e));
 
@@ -81,11 +78,6 @@ impl Engine<'_> {
             // targets are checked against (per-target probe runs extend a
             // thread-local copy).
             let snapshot = st.samples.clone();
-            // One solver session per generation: sibling targets share
-            // the query cache and arena always, and — when incremental
-            // solving is configured — one persistent boolean core with
-            // its learned clauses.
-            let session = SmtSession::for_solver(&smt);
             let mut stop = false;
             // Stage A (resume replay): while the recorded prefix still
             // covers whole targets, reconstruct each outcome from the
@@ -119,7 +111,7 @@ impl Engine<'_> {
             }
             let live = &jobs[start..];
             if stop {
-                // fall through to session accounting, then stop
+                // fall through to the stop below
             } else if threads == 1 || live.len() <= 1 {
                 for job in live {
                     if em.report.runs.len() >= self.config.max_runs {
@@ -141,7 +133,6 @@ impl Engine<'_> {
                         &snapshot,
                         summaries.as_ref(),
                         &smt,
-                        &session,
                         &validity,
                         campaign_end,
                     );
@@ -155,7 +146,6 @@ impl Engine<'_> {
                         &snapshot,
                         summaries.as_ref(),
                         &smt,
-                        &session,
                         &validity,
                         campaign_end,
                     )
@@ -177,21 +167,19 @@ impl Engine<'_> {
                     self.merge_outcome(job, out, em, &mut st);
                 }
             }
-            session_queries += session.queries();
-            session_clauses_reused += session.clauses_reused();
             if stop {
                 break 'search;
             }
         }
-        let stats = smt.cache_stats().merged(validity.cache_stats());
+        let smt_stats = smt.cache_stats();
+        let stats = smt_stats.merged(validity.cache_stats());
         em.emit(CampaignEvent::CacheStats {
             hits: stats.hits,
             misses: stats.misses,
         });
         em.emit(CampaignEvent::SolverSessionStats {
-            queries: session_queries,
+            queries: smt_stats.hits + smt_stats.misses,
             intern_hits: self.arena.stats().intern_hits,
-            clauses_reused: session_clauses_reused,
         });
         // Pre-solver cascade totals: the SMT solver's and validity
         // checker's cascades are distinct (the checker wraps its own

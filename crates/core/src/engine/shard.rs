@@ -66,21 +66,18 @@ use crate::trace::{
     program_digest, shard_digest, shard_trace_path, TraceConfig, TraceErrorPolicy, TraceHeader,
     TraceWriter,
 };
-use hotg_solver::{Deadline, Samples, SmtSession, SmtSolver, ValidityChecker};
+use hotg_solver::{Deadline, Samples, SmtSolver, ValidityChecker};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
 /// One shard's long-lived campaign context: its solver pair (sharing
-/// the campaign arena), its state replica, its trace emitter, and its
-/// session-reuse accounting.
+/// the campaign arena), its state replica, and its trace emitter.
 struct ShardCx<'s> {
     smt: SmtSolver,
     validity: ValidityChecker,
     replica: CampaignState,
     em: Emitter<'s>,
-    session_queries: u64,
-    session_clauses_reused: u64,
 }
 
 /// A shard's view of the durable-trace configuration: the path gains
@@ -184,8 +181,6 @@ impl Engine<'_> {
                 absorbed_fsync_fails: 0,
                 replayed: 0,
             },
-            session_queries: 0,
-            session_clauses_reused: 0,
         }
     }
 
@@ -327,8 +322,7 @@ impl Engine<'_> {
             // only the pure per-target work (plus stage-A reconstruction
             // against the shard's salvaged tail on resume). Emitters
             // never cross threads.
-            type ShardYield = (Vec<(usize, TargetOutcome)>, u64, u64);
-            let results: Vec<ShardYield> = std::thread::scope(|scope| {
+            let results: Vec<Vec<(usize, TargetOutcome)>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = cxs
                     .iter()
                     .zip(&assignment)
@@ -358,9 +352,7 @@ impl Engine<'_> {
             // Record each shard's blocks into its own trace, then
             // interleave everything back into canonical target order.
             let mut per_shard_blocks: Vec<Vec<merge::ShardBlock>> = Vec::with_capacity(shards);
-            for (cx, (outs, queries, clauses)) in cxs.iter_mut().zip(results) {
-                cx.session_queries += queries;
-                cx.session_clauses_reused += clauses;
+            for (cx, outs) in cxs.iter_mut().zip(results) {
                 let mut blocks = Vec::with_capacity(outs.len());
                 for (ordinal, out) in outs {
                     let events = merge::outcome_block(&jobs[ordinal], &out);
@@ -413,15 +405,14 @@ impl Engine<'_> {
         // Canonical campaign tail: the shard solver totals sum to the
         // campaign totals (the coordinator issues no solver queries of
         // its own), followed by the exchange accounting.
-        let (mut hits, mut misses) = (0u64, 0u64);
-        let (mut queries, mut clauses) = (0u64, 0u64);
+        let (mut hits, mut misses, mut queries) = (0u64, 0u64, 0u64);
         let mut backend: Option<hotg_solver::BackendStats> = None;
         for cx in &cxs {
-            let cs = cx.smt.cache_stats().merged(cx.validity.cache_stats());
+            let smt_stats = cx.smt.cache_stats();
+            let cs = smt_stats.merged(cx.validity.cache_stats());
             hits += cs.hits;
             misses += cs.misses;
-            queries += cx.session_queries;
-            clauses += cx.session_clauses_reused;
+            queries += smt_stats.hits + smt_stats.misses;
             let b = match (cx.smt.backend_stats(), cx.validity.backend_stats()) {
                 (Some(x), Some(y)) => Some(x.merged(y)),
                 (x, y) => x.or(y),
@@ -435,7 +426,6 @@ impl Engine<'_> {
         em.emit(CampaignEvent::SolverSessionStats {
             queries,
             intern_hits: self.arena.stats().intern_hits,
-            clauses_reused: clauses,
         });
         if let Some(b) = backend {
             em.emit(CampaignEvent::BackendStats {
@@ -464,8 +454,8 @@ impl Engine<'_> {
 
 /// One shard's generation pass, run on its own thread: stage-A
 /// reconstruction from the shard's salvaged trace tail while it lasts,
-/// live processing after. Returns the per-target outcomes (with their
-/// canonical ordinals) plus the generation session's reuse counters.
+/// live processing after. Returns the per-target outcomes with their
+/// canonical ordinals.
 #[allow(clippy::too_many_arguments)]
 fn shard_generation(
     engine: &Engine<'_>,
@@ -477,8 +467,7 @@ fn shard_generation(
     local: &[(usize, &Job)],
     tail: &[CampaignEvent],
     campaign_end: Deadline,
-) -> (Vec<(usize, TargetOutcome)>, u64, u64) {
-    let session = SmtSession::for_solver(smt);
+) -> Vec<(usize, TargetOutcome)> {
     let mut outs = Vec::with_capacity(local.len());
     let mut pos = 0usize;
     let mut replaying = !tail.is_empty();
@@ -508,7 +497,6 @@ fn shard_generation(
                     snapshot,
                     summaries,
                     smt,
-                    &session,
                     validity,
                     campaign_end,
                 )
@@ -516,5 +504,5 @@ fn shard_generation(
         };
         outs.push((ordinal, out));
     }
-    (outs, session.queries(), session.clauses_reused())
+    outs
 }

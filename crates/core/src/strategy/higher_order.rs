@@ -97,14 +97,7 @@ fn higher_order_target(
             Ok(o) => o,
             Err(()) => {
                 out.solver_errors += 1;
-                eng.concede_target(
-                    job,
-                    strategy,
-                    cx.session,
-                    cx.smt,
-                    DegradationReason::SolverError,
-                    out,
-                );
+                eng.concede_target(job, strategy, cx.smt, DegradationReason::SolverError, out);
                 return;
             }
         };
@@ -169,7 +162,6 @@ fn higher_order_target(
                     _ => eng.concede_target(
                         job,
                         strategy,
-                        cx.session,
                         cx.smt,
                         DegradationReason::SolverUnknown,
                         out,

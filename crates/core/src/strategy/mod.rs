@@ -27,7 +27,7 @@ use crate::engine::Engine;
 use crate::report::DegradationLevel;
 use crate::summaries::SummaryTable;
 use hotg_concolic::ExecProfile;
-use hotg_solver::{Samples, SmtSession, SmtSolver, ValidityChecker};
+use hotg_solver::{Samples, SmtSolver, ValidityChecker};
 
 pub(crate) use dart::{DartSound, DartSoundDelayed, DartUnsound};
 pub(crate) use higher_order::{HigherOrder, HigherOrderCompositional};
@@ -48,12 +48,10 @@ pub(crate) struct TargetCx<'e, 'a> {
     /// Function summaries (§8), present only for the compositional
     /// strategy on programs with defined functions.
     pub(crate) summaries: Option<&'e SummaryTable>,
-    /// Satisfiability solver (shared caches; per-target deadline).
+    /// Satisfiability solver: a campaign-wide (or per-target
+    /// deadline-reconfigured) clone sharing the query cache, term arena
+    /// and query tap, so every flip query is one independent `check`.
     pub(crate) smt: &'e SmtSolver,
-    /// The generation's solver session: satisfiability queries route
-    /// through it so sibling targets share one boolean core when
-    /// incremental solving is on (and the query cache/arena always).
-    pub(crate) session: &'e SmtSession,
     /// Validity checker (shared caches; per-target deadline).
     pub(crate) validity: &'e ValidityChecker,
     /// Schedule-independent key of this target (chaos injection).

@@ -1174,7 +1174,6 @@ pub(crate) fn decode_event(payload: &str, expect_seq: u64) -> Option<CampaignEve
         "solver_session_stats" => CampaignEvent::SolverSessionStats {
             queries: v.u64_field("queries")?,
             intern_hits: v.u64_field("intern_hits")?,
-            clauses_reused: v.u64_field("clauses_reused")?,
         },
         "backend_stats" => CampaignEvent::BackendStats {
             backend: v.str_field("backend")?.to_string(),
@@ -1339,7 +1338,6 @@ mod tests {
             CampaignEvent::SolverSessionStats {
                 queries: 11,
                 intern_hits: 100,
-                clauses_reused: 0,
             },
             CampaignEvent::BackendStats {
                 backend: "abstract".to_string(),

@@ -136,35 +136,66 @@ proptest! {
     }
 }
 
-/// The `DriverConfig::query_log` tap captures the campaign's session
-/// query stream without affecting results, and the stream itself is
+/// The `DriverConfig::query_log` tap captures the campaign's SMT query
+/// stream without affecting results, and the stream itself is
 /// deterministic: two identical campaigns record identical formulas in
-/// identical order.
+/// identical order. The announced `SolverSessionStats.queries` counts
+/// exactly the recorded stream, single-shard and sharded.
 #[test]
 fn query_log_is_deterministic_and_inert() {
+    use hotg_core::{CampaignEvent, EventLog};
     use hotg_logic::Formula;
     use std::sync::{Arc, Mutex};
     let (program, natives) = corpus::fanout();
     let width = program.input_width();
-    let capture = |log: &Arc<Mutex<Vec<Formula>>>| {
+    let capture = |log: &Arc<Mutex<Vec<Formula>>>, shards: usize| {
         let cfg = DriverConfig {
             query_log: Some(Arc::clone(log)),
+            shards,
             ..config(width, 1, 0x5eed)
         };
-        Driver::new(&program, &natives, cfg).run(Technique::DartSound)
+        let mut events = EventLog::new();
+        let report =
+            Driver::new(&program, &natives, cfg).run_with_sink(Technique::DartSound, &mut events);
+        let announced = events
+            .events()
+            .iter()
+            .find_map(|e| match e {
+                CampaignEvent::SolverSessionStats { queries, .. } => Some(*queries),
+                _ => None,
+            })
+            .expect("a directed campaign announces its solver totals");
+        (report, announced)
     };
-    let (log_a, log_b) = (
+    let (log_a, log_b, log_s) = (
+        Arc::new(Mutex::new(Vec::new())),
         Arc::new(Mutex::new(Vec::new())),
         Arc::new(Mutex::new(Vec::new())),
     );
-    let report_a = capture(&log_a);
-    let report_b = capture(&log_b);
+    let (report_a, queries_a) = capture(&log_a, 1);
+    let (report_b, _) = capture(&log_b, 1);
+    let (report_s, queries_s) = capture(&log_s, 2);
     let plain = Driver::new(&program, &natives, config(width, 1, 0x5eed)).run(Technique::DartSound);
     assert_reports_identical(&report_a, &plain, "tapped vs untapped campaign");
-    let (a, b) = (log_a.lock().unwrap(), log_b.lock().unwrap());
-    assert!(!a.is_empty(), "a directed campaign poses session queries");
+    assert_reports_identical(&report_s, &plain, "tapped sharded campaign");
+    let (a, b, sharded) = (
+        log_a.lock().unwrap(),
+        log_b.lock().unwrap(),
+        log_s.lock().unwrap(),
+    );
+    assert!(!a.is_empty(), "a directed campaign poses SMT queries");
     assert_eq!(*a, *b, "identical campaigns record identical streams");
     assert_reports_identical(&report_a, &report_b, "tapped campaigns");
+    assert_eq!(
+        queries_a,
+        a.len() as u64,
+        "announced queries = recorded stream"
+    );
+    assert_eq!(
+        queries_s,
+        sharded.len() as u64,
+        "sharded: announced queries = recorded stream"
+    );
 }
 
 /// Interner/arena state is per-campaign — owned by the driver, never a

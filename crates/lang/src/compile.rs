@@ -234,11 +234,11 @@ struct Scopes {
 }
 
 impl Scopes {
-    fn push(&mut self) {
+    fn enter(&mut self) {
         self.stack.push(HashMap::new());
     }
 
-    fn pop(&mut self) {
+    fn exit(&mut self) {
         self.stack.pop();
     }
 
@@ -487,11 +487,11 @@ impl BlockCompiler<'_> {
     }
 
     fn block(&mut self, body: &[Stmt]) {
-        self.scopes.push();
+        self.scopes.enter();
         for s in body {
             self.stmt(s);
         }
-        self.scopes.pop();
+        self.scopes.exit();
     }
 }
 
@@ -537,13 +537,13 @@ pub fn compile(
             string_index: std::mem::take(&mut string_index),
             next_stmt,
         };
-        bc.scopes.push();
+        bc.scopes.enter();
         for p in &f.params {
             let slot = bc.alloc_scalar();
             bc.scopes.declare(p, SlotRef::Scalar(slot));
         }
         bc.block(&f.body);
-        bc.scopes.pop();
+        bc.scopes.exit();
         funcs.push(CompiledFn {
             name: f.name.clone(),
             arity: f.params.len(),
@@ -574,7 +574,7 @@ pub fn compile(
         string_index,
         next_stmt,
     };
-    bc.scopes.push();
+    bc.scopes.enter();
     let mut params = Vec::with_capacity(program.params.len());
     for p in &program.params {
         match p {
@@ -591,7 +591,7 @@ pub fn compile(
         }
     }
     bc.block(&program.body);
-    bc.scopes.pop();
+    bc.scopes.exit();
     debug_assert_eq!(
         bc.next_stmt as usize,
         stmt_ids(program).len(),

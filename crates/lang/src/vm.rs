@@ -132,7 +132,7 @@ impl<'a> Vm<'a, '_> {
                     self.scratch.stack.push(Val::Int(v));
                 }
                 Instr::LoadElem(slot) => {
-                    let i = self.pop().int()?;
+                    let i = self.pop_operand().int()?;
                     let items = &self.scratch.frames[depth].arrays[slot as usize];
                     let len = items.len();
                     let v = usize::try_from(i)
@@ -148,12 +148,12 @@ impl<'a> Vm<'a, '_> {
                     self.scratch.stack.push(Val::Int(v));
                 }
                 Instr::StoreScalar(slot) => {
-                    let v = self.pop().int()?;
+                    let v = self.pop_operand().int()?;
                     self.scratch.frames[depth].scalars[slot as usize] = v;
                 }
                 Instr::StoreElem(slot) => {
-                    let v = self.pop().int()?;
-                    let i = self.pop().int()?;
+                    let v = self.pop_operand().int()?;
+                    let i = self.pop_operand().int()?;
                     let items = &mut self.scratch.frames[depth].arrays[slot as usize];
                     let len = items.len();
                     let cell = usize::try_from(i)
@@ -175,19 +175,19 @@ impl<'a> Vm<'a, '_> {
                     items.resize(len, 0);
                 }
                 Instr::Neg => {
-                    let v = self.pop().int()?;
+                    let v = self.pop_operand().int()?;
                     let v = v.checked_neg().ok_or_else(|| {
                         Fault::new(FaultKind::Overflow, "arithmetic overflow in negation")
                     })?;
                     self.scratch.stack.push(Val::Int(v));
                 }
                 Instr::Not => {
-                    let v = self.pop().bool()?;
+                    let v = self.pop_operand().bool()?;
                     self.scratch.stack.push(Val::Bool(!v));
                 }
                 Instr::Bin(op) => {
-                    let b = self.pop();
-                    let a = self.pop();
+                    let b = self.pop_operand();
+                    let a = self.pop_operand();
                     let out = eval_binop(op, a.into(), b.into())?;
                     self.scratch.stack.push(out.into());
                 }
@@ -235,7 +235,7 @@ impl<'a> Vm<'a, '_> {
                     return Err(Fault::other(format!("callable `{name}` is not defined")));
                 }
                 Instr::Branch { id, if_false } => {
-                    let taken = self.pop().bool()?;
+                    let taken = self.pop_operand().bool()?;
                     self.trace.branches.push((id, taken));
                     if !taken {
                         pc = if_false as usize;
@@ -245,7 +245,7 @@ impl<'a> Vm<'a, '_> {
                 Instr::Error(code) => return Ok(Exit::Stop(Outcome::Error(code))),
                 Instr::ReturnBare => return Ok(Exit::Stop(Outcome::Returned)),
                 Instr::ReturnValue => {
-                    let v = self.pop().int()?;
+                    let v = self.pop_operand().int()?;
                     return Ok(Exit::Ret(v));
                 }
             }
@@ -253,7 +253,7 @@ impl<'a> Vm<'a, '_> {
         Ok(Exit::Fall)
     }
 
-    fn pop(&mut self) -> Val {
+    fn pop_operand(&mut self) -> Val {
         self.scratch
             .stack
             .pop()

@@ -32,8 +32,10 @@ const DEFAULT_CAPACITY: usize = 65_536;
 ///
 /// `hits`/`misses` account the query memo tables; `intern_hits` counts
 /// term-arena lookups answered by an already-interned node (memoized
-/// normalization/fingerprints); `clauses_reused` counts learned clauses
-/// carried across queries by incremental solver sessions.
+/// normalization/fingerprints). Every [`crate::SmtSolver::check`] or
+/// [`crate::SmtSolver::verdict`] call makes exactly one lookup in its
+/// solver's memo table, so a solver's `hits + misses` counts the queries
+/// posed to it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the memo table.
@@ -42,8 +44,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Arena intern lookups answered by an existing node.
     pub intern_hits: u64,
-    /// Learned clauses reused across queries by incremental sessions.
-    pub clauses_reused: u64,
 }
 
 impl CacheStats {
@@ -62,7 +62,6 @@ impl CacheStats {
             hits: self.hits + other.hits,
             misses: self.misses + other.misses,
             intern_hits: self.intern_hits + other.intern_hits,
-            clauses_reused: self.clauses_reused + other.clauses_reused,
         }
     }
 }
@@ -147,9 +146,8 @@ impl<K: Hash + Eq, V: Clone> QueryCache<K, V> {
         self.len() == 0
     }
 
-    /// Current hit/miss counters (a bare cache has no arena or session,
-    /// so the reuse counters are zero here and contributed by the owning
-    /// solver's `cache_stats`).
+    /// Current hit/miss counters (a bare cache has no arena, so
+    /// `intern_hits` is zero here).
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -263,13 +261,11 @@ mod tests {
             hits: 2,
             misses: 3,
             intern_hits: 11,
-            clauses_reused: 1,
         };
         let b = CacheStats {
             hits: 5,
             misses: 7,
             intern_hits: 13,
-            clauses_reused: 2,
         };
         assert_eq!(
             a.merged(b),
@@ -277,7 +273,6 @@ mod tests {
                 hits: 7,
                 misses: 10,
                 intern_hits: 24,
-                clauses_reused: 3,
             }
         );
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
