@@ -690,7 +690,10 @@ const RESUME_OVERHEAD_CEILING_PCT: f64 = 5.0;
 /// One fsync policy's trace-overhead measurement.
 struct ResumeBenchRow {
     fsync: FsyncPolicy,
+    /// Median campaign wall time over [`RESUME_ROUNDS`] rounds.
     wall_ms: f64,
+    /// Max − min of the same samples.
+    spread_ms: f64,
     overhead_pct: f64,
     trace_bytes: u64,
     frames: usize,
@@ -773,57 +776,87 @@ fn trace_cut_at(path: &std::path::Path, k: usize) -> u64 {
     data.len() as u64
 }
 
+/// Timing rounds of the resume section. Each round times the untraced
+/// baseline and every fsync leg once, so slow phases of a shared host
+/// spread over every leg instead of landing on whichever leg ran during
+/// them. On a host whose speed swings by a quarter from one campaign to
+/// the next, seven rounds still cannot resolve a 5% difference every
+/// time; the per-leg `spread_ms` shows when that is the case.
+const RESUME_ROUNDS: usize = 7;
+
+/// Median and spread (max − min) of one leg's timing samples.
+fn median_spread(samples: &[f64]) -> (f64, f64) {
+    let mut xs = samples.to_vec();
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    let median = if n % 2 == 1 {
+        xs[n / 2]
+    } else {
+        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
+    };
+    (median, xs[n - 1] - xs[0])
+}
+
 /// Measures the durable-trace cost and crash recovery on one
 /// solver-heavy campaign (`crc_guard` × HigherOrder, fixed 40-run
-/// budget): campaign wall time without a trace (best of three) versus
-/// with a trace under each fsync policy, then a crash at ~60% of the
-/// recorded frames resumed back to a full report, timed and checked for
-/// bit-identical parity.
-fn resume_bench() -> (f64, Vec<ResumeBenchRow>, ResumeRecovery, bool) {
+/// budget): campaign wall time without a trace versus with a trace
+/// under each fsync policy — [`RESUME_ROUNDS`] interleaved rounds, the
+/// leg order rotated every round, each leg's median compared — then a
+/// crash at ~60% of the recorded frames resumed back to a full report,
+/// timed and checked for bit-identical parity. Returns the baseline's
+/// median and spread, the per-policy rows, the recovery drill, and
+/// whether the gate passed.
+fn resume_bench() -> ((f64, f64), Vec<ResumeBenchRow>, ResumeRecovery, bool) {
     let (program, natives) = corpus::crc_guard();
     let width = program.input_width();
     let technique = Technique::HigherOrder;
-    let best_of = |f: &mut dyn FnMut() -> Report| -> (Report, f64) {
-        let mut best = f64::INFINITY;
-        let mut report = None;
-        for _ in 0..3 {
-            let start = Instant::now();
-            let r = f();
-            best = best.min(start.elapsed().as_secs_f64() * 1e3);
-            report = Some(r);
-        }
-        (report.expect("three passes ran"), best)
-    };
-
-    let (baseline_report, baseline_ms) =
-        best_of(&mut || Driver::new(&program, &natives, config(width, 40, 1)).run(technique));
-    let want = report_fingerprint(&baseline_report);
-
     let dir = std::env::temp_dir().join(format!("hotg-bench-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir bench tempdir");
-    let mut rows = Vec::new();
-    for fsync in [
+    let policies = [
         FsyncPolicy::EveryEvent,
         FsyncPolicy::EveryGeneration,
         FsyncPolicy::Close,
-    ] {
-        let path = dir.join(format!("resume-{}.trace", fsync.name()));
-        let (r, wall_ms) = best_of(&mut || {
-            let cfg = DriverConfig {
-                trace: Some(TraceConfig {
-                    fsync,
-                    ..TraceConfig::new(&path)
-                }),
-                ..config(width, 40, 1)
-            };
-            Driver::new(&program, &natives, cfg).run(technique)
+    ];
+    let trace_path = |fsync: FsyncPolicy| dir.join(format!("resume-{}.trace", fsync.name()));
+    // Leg 0 is the untraced baseline; leg `i + 1` traces under
+    // `policies[i]`.
+    let legs = policies.len() + 1;
+    let run_leg = |leg: usize| -> (Report, f64) {
+        let trace = leg.checked_sub(1).map(|i| TraceConfig {
+            fsync: policies[i],
+            ..TraceConfig::new(trace_path(policies[i]))
         });
+        let cfg = DriverConfig {
+            trace,
+            ..config(width, 40, 1)
+        };
+        let start = Instant::now();
+        let r = Driver::new(&program, &natives, cfg).run(technique);
+        (r, start.elapsed().as_secs_f64() * 1e3)
+    };
+    let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(RESUME_ROUNDS); legs];
+    let mut fingerprints: Vec<String> = vec![String::new(); legs];
+    for round in 0..RESUME_ROUNDS {
+        for k in 0..legs {
+            let leg = (round + k) % legs;
+            let (r, ms) = run_leg(leg);
+            samples[leg].push(ms);
+            fingerprints[leg] = report_fingerprint(&r);
+        }
+    }
+    let (baseline_ms, baseline_spread_ms) = median_spread(&samples[0]);
+    let want = &fingerprints[0];
+
+    let mut rows = Vec::new();
+    for (i, &fsync) in policies.iter().enumerate() {
         assert_eq!(
             want,
-            report_fingerprint(&r),
+            &fingerprints[i + 1],
             "durable trace perturbed the campaign under fsync={}",
             fsync.name()
         );
+        let path = trace_path(fsync);
+        let (wall_ms, spread_ms) = median_spread(&samples[i + 1]);
         let trace_bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
         let overhead_pct = if baseline_ms > 0.0 {
             ((wall_ms - baseline_ms) / baseline_ms * 100.0).max(0.0)
@@ -833,29 +866,28 @@ fn resume_bench() -> (f64, Vec<ResumeBenchRow>, ResumeRecovery, bool) {
         rows.push(ResumeBenchRow {
             fsync,
             wall_ms,
+            spread_ms,
             overhead_pct,
             trace_bytes,
             frames: trace_frames(&path),
         });
         eprintln!(
-            "resume fsync={:<16} {wall_ms:>7.1}ms (+{overhead_pct:.1}% vs \
-             {baseline_ms:.1}ms untraced), {trace_bytes} trace bytes",
+            "resume fsync={:<16} {wall_ms:>7.1}ms ±{spread_ms:.1} (+{overhead_pct:.1}% vs \
+             {baseline_ms:.1}ms ±{baseline_spread_ms:.1} untraced, medians of \
+             {RESUME_ROUNDS}), {trace_bytes} trace bytes",
             fsync.name()
         );
     }
 
     // Crash at ~60% of the every-generation trace and resume.
-    let trace_path = dir.join(format!(
-        "resume-{}.trace",
-        FsyncPolicy::EveryGeneration.name()
-    ));
-    let frames = trace_frames(&trace_path);
+    let gen_trace = trace_path(FsyncPolicy::EveryGeneration);
+    let frames = trace_frames(&gen_trace);
     let crash_frame = frames * 6 / 10;
-    let full = std::fs::read(&trace_path).expect("read trace");
+    let full = std::fs::read(&gen_trace).expect("read trace");
     let crash_path = dir.join("resume-crash.trace");
     std::fs::write(
         &crash_path,
-        &full[..trace_cut_at(&trace_path, crash_frame) as usize],
+        &full[..trace_cut_at(&gen_trace, crash_frame) as usize],
     )
     .expect("write crashed trace");
     let cfg = DriverConfig {
@@ -868,7 +900,7 @@ fn resume_bench() -> (f64, Vec<ResumeBenchRow>, ResumeRecovery, bool) {
         .resume_with_sink(technique, &mut hotg_core::NullSink)
         .expect("resume from crashed trace");
     let recovery_ms = start.elapsed().as_secs_f64() * 1e3;
-    let parity = report_fingerprint(&resumed.report) == want;
+    let parity = report_fingerprint(&resumed.report) == *want;
     let recovery = ResumeRecovery {
         crash_frame,
         frames,
@@ -887,18 +919,19 @@ fn resume_bench() -> (f64, Vec<ResumeBenchRow>, ResumeRecovery, bool) {
         .is_some_and(|r| r.overhead_pct <= RESUME_OVERHEAD_CEILING_PCT);
     let pass = parity && every_gen_ok;
     for row in &rows {
-        let _ = std::fs::remove_file(dir.join(format!("resume-{}.trace", row.fsync.name())));
+        let _ = std::fs::remove_file(trace_path(row.fsync));
     }
     let _ = std::fs::remove_file(&crash_path);
-    (baseline_ms, rows, recovery, pass)
+    ((baseline_ms, baseline_spread_ms), rows, recovery, pass)
 }
 
 fn resume_row_json(r: &ResumeBenchRow) -> String {
     format!(
-        "{{\"fsync\": {}, \"wall_ms\": {:.3}, \"overhead_pct\": {:.2}, \
-         \"trace_bytes\": {}, \"frames\": {}}}",
+        "{{\"fsync\": {}, \"wall_ms\": {:.3}, \"spread_ms\": {:.3}, \
+         \"overhead_pct\": {:.2}, \"trace_bytes\": {}, \"frames\": {}}}",
         json_str(r.fsync.name()),
         r.wall_ms,
+        r.spread_ms,
         r.overhead_pct,
         r.trace_bytes,
         r.frames,
@@ -1286,7 +1319,12 @@ fn main() {
     // Durable-trace overhead and crash recovery (crc_guard ×
     // HigherOrder, fixed 40-run budget, independent of --reduced: a CI
     // gate like the solver and exec replays).
-    let (resume_baseline_ms, resume_rows, resume_recovery, resume_pass) = resume_bench();
+    let (
+        (resume_baseline_ms, resume_baseline_spread_ms),
+        resume_rows,
+        resume_recovery,
+        resume_pass,
+    ) = resume_bench();
     let resume_json: Vec<String> = resume_rows.iter().map(resume_row_json).collect();
 
     let json = format!(
@@ -1304,7 +1342,8 @@ fn main() {
          \"combined_speedup\": {:.3}, \"floor\": {:.2}, \"pass\": {}, \
          \"rows\": [\n    {}\n  ]}},\n  \
          \"resume\": {{\"program\": {}, \"technique\": {}, \
-         \"baseline_ms\": {:.3}, \"overhead_ceiling_pct\": {:.1}, \"pass\": {}, \
+         \"rounds\": {}, \"baseline_ms\": {:.3}, \"baseline_spread_ms\": {:.3}, \
+         \"overhead_ceiling_pct\": {:.1}, \"pass\": {}, \
          \"rows\": [\n    {}\n  ], \
          \"recovery\": {{\"crash_frame\": {}, \"frames\": {}, \
          \"recovery_ms\": {:.3}, \"events_replayed\": {}, \"parity\": {}}}}},\n  \
@@ -1336,7 +1375,9 @@ fn main() {
         exec_json.join(",\n    "),
         json_str("crc_guard"),
         json_str(Technique::HigherOrder.name()),
+        RESUME_ROUNDS,
         resume_baseline_ms,
+        resume_baseline_spread_ms,
         RESUME_OVERHEAD_CEILING_PCT,
         resume_pass,
         resume_json.join(",\n    "),

@@ -130,7 +130,7 @@ impl<'p> Driver<'p> {
         report
     }
 
-    fn engine(&self) -> Engine<'_> {
+    pub(crate) fn engine(&self) -> Engine<'_> {
         Engine {
             program: self.program,
             natives: self.natives,

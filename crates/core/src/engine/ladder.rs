@@ -57,6 +57,7 @@ impl Engine<'_> {
         // Position of the flipped branch in the parent's branch order.
         let Some(branch_pos) = job
             .target
+            .parent
             .pc
             .branch_indices()
             .iter()
@@ -81,7 +82,7 @@ impl Engine<'_> {
             // strategy's mode; call summarization follows the campaign
             // strategy so the re-executed parent is comparable.
             let parent = self.execute_concolic(
-                &InputVector::new(job.target.parent_inputs.clone()),
+                &InputVector::new(job.target.parent.inputs.clone()),
                 ExecProfile {
                     mode: rung_strategy.profile().mode,
                     summarize_calls: campaign_profile.summarize_calls,
@@ -115,7 +116,7 @@ impl Engine<'_> {
                     values.insert(v, x);
                 }
             }
-            let inputs = self.merge_inputs(&job.target.parent_inputs, &values);
+            let inputs = self.merge_inputs(&job.target.parent.inputs, &values);
             // The recovered test still runs under the *campaign*
             // strategy's profile: its path constraint feeds the next
             // generation of the original search.

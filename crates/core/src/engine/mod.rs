@@ -30,6 +30,19 @@
 //! is identical for every thread count (only the solver-cache hit/miss
 //! counters can differ — racing workers may each miss a key one of them
 //! is about to fill, but the cached values are pure functions of the key).
+//!
+//! # Flip targets share their parent run
+//!
+//! [`Engine::execute_run`] expands every branch of a run into its own
+//! target, but the run's path constraint, inputs and samples are moved
+//! once into one [`ParentRun`](outcome::ParentRun) that all of those
+//! targets share through an `Arc`. The dedup filter hashes each target's
+//! key in place off that shared constraint, only surviving targets
+//! materialize their expected path, and the `ALT` formula is built by
+//! [`Engine::process_target`] for the targets actually processed. A
+//! per-target copy would make per-run cost quadratic in path length;
+//! on the `dart_wide` benchmark such copies and eagerly built `ALT`s
+//! cost over a third of the wall time, more than concolic execution.
 
 pub(crate) mod ladder;
 pub(crate) mod merge;
@@ -54,7 +67,7 @@ use hotg_lang::{BranchId, CompiledProgram, InputVector, NativeRegistry, Program}
 use hotg_logic::LogicArena;
 use hotg_logic::{Formula, Var};
 use hotg_solver::{Deadline, Samples, SmtResult, SmtSolver, ValidityChecker, ValidityOutcome};
-use outcome::{path_key, scale_budget, Target, TargetOutcome, WorkerRun};
+use outcome::{scale_budget, ParentRun, Target, TargetOutcome, WorkerRun};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -651,47 +664,60 @@ impl<'a> Engine<'a> {
             (hotg_lang::Outcome::RuntimeFault(injected_fault()), None)
         } else {
             (
-                run.outcome.clone(),
+                run.outcome,
                 expected.map(|e| diverged(e, &run.trace.branches)),
             )
         };
+        let mut pruned_static = 0;
+        let mut expand: Vec<usize> = Vec::new();
+        if !injected {
+            for j in run.pc.branch_indices() {
+                let entry = &run.pc.entries[j];
+                // A constraint that folded to `true` has no input
+                // dependence: its negation is trivially infeasible, so it
+                // is not a target.
+                if entry.constraint == Formula::True {
+                    continue;
+                }
+                // Static oracle: if the analysis proves the flipped
+                // direction can never execute (constant branch
+                // condition), skip the target without spending a
+                // solver/validity query on it.
+                if self.config.static_pruning {
+                    let (id, taken) = entry.branch.expect("branch entry");
+                    if self.analysis.flip_infeasible(id, !taken) {
+                        pruned_static += 1;
+                        continue;
+                    }
+                }
+                expand.push(j);
+            }
+        }
+        // One shared parent per run: the path constraint moves in, and
+        // every target of the run points at it.
+        let children = if expand.is_empty() {
+            Vec::new()
+        } else {
+            let parent = Arc::new(ParentRun {
+                inputs: inputs.clone(),
+                pc: run.pc,
+                samples: run.samples.clone(),
+            });
+            expand
+                .into_iter()
+                .map(|j| Target {
+                    parent: Arc::clone(&parent),
+                    j,
+                })
+                .collect()
+        };
         let record = RunRecord {
-            inputs: inputs.clone(),
+            inputs,
             outcome,
             origin,
             diverged: div,
-            path: run.trace.branches.clone(),
+            path: run.trace.branches,
         };
-        let mut children = Vec::new();
-        let mut pruned_static = 0;
-        let expand: Vec<usize> = if injected {
-            Vec::new()
-        } else {
-            run.pc.branch_indices()
-        };
-        for j in expand {
-            // A constraint that folded to `true` has no input dependence:
-            // its negation is trivially infeasible, so it is not a target.
-            if run.pc.entries[j].constraint == Formula::True {
-                continue;
-            }
-            // Static oracle: if the analysis proves the flipped direction
-            // can never execute (constant branch condition), skip the
-            // target without spending a solver/validity query on it.
-            if self.config.static_pruning {
-                let (id, taken) = run.pc.entries[j].branch.expect("branch entry");
-                if self.analysis.flip_infeasible(id, !taken) {
-                    pruned_static += 1;
-                    continue;
-                }
-            }
-            children.push(Target {
-                parent_inputs: inputs.clone(),
-                pc: run.pc.clone(),
-                j,
-                parent_samples: run.samples.clone(),
-            });
-        }
         WorkerRun {
             record,
             samples: run.samples,
@@ -804,8 +830,10 @@ impl<'a> Engine<'a> {
     }
 
     /// Processes one target against the generation snapshot, with the
-    /// worker's panic isolated: a panic (organic or injected) abandons
-    /// only this target, which is counted as *faulted* instead of
+    /// worker's panic isolated. The target's `ALT` formula is built here,
+    /// inside the panic boundary, and handed to the strategy through
+    /// [`TargetCx::alt`]. A panic (organic or injected) abandons only
+    /// this target, which is counted as *faulted* instead of
     /// aborting the campaign. The partial outcome of a panicked worker is
     /// discarded wholesale, so the merged report never depends on how far
     /// the worker got before unwinding.
@@ -820,7 +848,7 @@ impl<'a> Engine<'a> {
         validity: &ValidityChecker,
         campaign_end: Deadline,
     ) -> TargetOutcome {
-        let tkey = path_key(&job.expected);
+        let tkey = job.key;
         let inject_panic = self
             .config
             .fault_plan
@@ -851,8 +879,10 @@ impl<'a> Engine<'a> {
             } else {
                 (smt, validity)
             };
+            let alt = job.alt();
             let cx = TargetCx {
                 engine: self,
+                alt: &alt,
                 snapshot,
                 summaries,
                 smt,

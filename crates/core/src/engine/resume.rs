@@ -30,7 +30,7 @@
 //! the trace there). A wrong report is never produced: reconstruction
 //! either reproduces the recorded facts exactly or steps aside.
 
-use super::outcome::{path_key, Job, TargetOutcome};
+use super::outcome::{Job, TargetOutcome};
 use super::Engine;
 use crate::chaos::{chaos_key, FaultSite};
 use crate::events::CampaignEvent;
@@ -108,7 +108,7 @@ pub(crate) fn reconstruct_outcome(
 
     // Run units: optional static-pruning count, optional injected
     // interpreter fault, optional origin announcement, then the record.
-    let tkey = path_key(&job.expected);
+    let tkey = job.key;
     let mut probe_ordinal = 0usize;
     while i < block.len() {
         let mut pruned = 0usize;

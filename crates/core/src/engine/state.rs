@@ -27,6 +27,7 @@
 
 use super::outcome::{path_key, Job, Target, TargetOutcome};
 use crate::events::CampaignEvent;
+use hotg_concolic::EntryKind;
 use hotg_solver::{Samples, SamplesDelta};
 use std::collections::BTreeSet;
 
@@ -48,29 +49,39 @@ impl CampaignState {
     /// Filters the pending generation through the dedup set
     /// sequentially, in target order — the set is only consulted here,
     /// never from workers, so scheduling cannot affect which targets
-    /// survive. Returns the surviving jobs plus the dedup keys newly
-    /// inserted by this generation (the `seen` half of the next
-    /// [`StateDelta`] broadcast).
+    /// survive. Keys are hashed in place off each target's shared parent
+    /// run ([`Target::key`]); only survivors materialize their expected
+    /// path, and none builds its `ALT` formula yet. Returns the
+    /// surviving jobs plus the dedup keys newly inserted by this
+    /// generation (the `seen` half of the next [`StateDelta`] broadcast).
     pub(crate) fn filter_generation(&mut self) -> (Vec<Job>, BTreeSet<u64>) {
         let mut jobs: Vec<Job> = Vec::new();
         let mut fresh = BTreeSet::new();
         for target in std::mem::take(&mut self.pending) {
-            let Some(expected) = target.pc.expected_path(target.j) else {
+            let Some(key) = target.key() else {
                 continue;
             };
-            let key = path_key(&expected);
             if !self.seen.insert(key) {
                 continue;
             }
             fresh.insert(key);
-            let Some(alt) = target.pc.alt(target.j) else {
+            let entry = &target.parent.pc.entries[target.j];
+            // `ALT` exists exactly for branch entries; it is built only
+            // when the job is processed (`Job::alt`).
+            if entry.kind != EntryKind::Branch {
                 continue;
-            };
-            let (id, _) = target.pc.entries[target.j].branch.expect("branch entry");
+            }
+            let (id, _) = entry.branch.expect("keyed entries are branches");
+            let expected = target
+                .parent
+                .pc
+                .expected_path(target.j)
+                .expect("keyed entries are branches");
+            debug_assert_eq!(path_key(&expected), key, "in-place key drifted");
             jobs.push(Job {
                 target,
                 expected,
-                alt,
+                key,
                 id,
             });
         }
@@ -150,7 +161,7 @@ impl Partitioner {
 
     /// The shard that owns a job (by its expected path's stable key).
     pub(crate) fn shard_of_job(&self, job: &Job) -> usize {
-        self.shard_of(path_key(&job.expected))
+        self.shard_of(job.key)
     }
 }
 

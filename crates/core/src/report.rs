@@ -104,6 +104,29 @@ pub struct RunRecord {
     pub path: Vec<(BranchId, bool)>,
 }
 
+/// Calls `f` once per distinct `(site, direction)` pair of one run's
+/// branch path, in first-occurrence order. A long-running loop revisits
+/// a handful of directions thousands of times, so duplicates are
+/// dropped with a bitmap over the program's `branch_sites` before they
+/// reach the (ordered, comparatively costly) coverage set; ids outside
+/// that range are passed through unfiltered.
+fn for_each_direction(
+    path: &[(BranchId, bool)],
+    branch_sites: u32,
+    mut f: impl FnMut((BranchId, bool)),
+) {
+    let mut seen = vec![0u64; (2 * branch_sites as usize).div_ceil(64)];
+    for &(id, dir) in path {
+        let bit = 2 * id.0 as usize + usize::from(dir);
+        match seen.get_mut(bit / 64) {
+            Some(word) if *word & (1 << (bit % 64)) != 0 => continue,
+            Some(word) => *word |= 1 << (bit % 64),
+            None => {}
+        }
+        f((id, dir));
+    }
+}
+
 /// Summary of one campaign.
 #[derive(Clone, Debug)]
 pub struct Report {
@@ -234,9 +257,9 @@ impl Report {
     /// and divergence counts) — the [`CampaignEvent::RunExecuted`] arm
     /// of the fold.
     fn account(&mut self, record: RunRecord) {
-        for &(id, dir) in &record.path {
-            self.coverage.insert((id, dir));
-        }
+        for_each_direction(&record.path, self.branch_sites, |d| {
+            self.coverage.insert(d);
+        });
         match &record.outcome {
             Outcome::Error(code) => {
                 let idx = self.runs.len();
@@ -355,9 +378,9 @@ impl Report {
         let mut seen = BTreeSet::new();
         let mut out = Vec::with_capacity(self.runs.len());
         for r in &self.runs {
-            for &(id, dir) in &r.path {
-                seen.insert((id, dir));
-            }
+            for_each_direction(&r.path, self.branch_sites, |d| {
+                seen.insert(d);
+            });
             out.push(seen.len());
         }
         out
@@ -647,6 +670,39 @@ mod tests {
             trace_faults: TraceFaultCounters::default(),
             bytecode_fallbacks: 0,
             elapsed: std::time::Duration::from_millis(1),
+        }
+    }
+
+    /// The per-run bitmap dedup visits each distinct direction once, in
+    /// first-occurrence order, including ids past `branch_sites` (which
+    /// bypass the bitmap) and a fold that saw no `CampaignStarted`.
+    #[test]
+    fn directions_are_visited_once_each() {
+        let path: Vec<(BranchId, bool)> = [(1, true), (0, false), (1, true), (9, true), (0, false)]
+            .iter()
+            .cycle()
+            .take(50)
+            .map(|&(id, dir)| (BranchId(id), dir))
+            .chain([
+                (BranchId(9), false),
+                (BranchId(70), true),
+                (BranchId(70), true),
+            ])
+            .collect();
+        let mut distinct = Vec::new();
+        for &d in &path {
+            if !distinct.contains(&d) {
+                distinct.push(d);
+            }
+        }
+        let want: BTreeSet<_> = distinct.iter().copied().collect();
+        for sites in [0, 1, 3, 40, 71] {
+            let mut seen = Vec::new();
+            for_each_direction(&path, sites, |d| seen.push(d));
+            assert_eq!(seen.iter().copied().collect::<BTreeSet<_>>(), want);
+            if sites > 70 {
+                assert_eq!(seen, distinct, "all ids in range: once each");
+            }
         }
     }
 

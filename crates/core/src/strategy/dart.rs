@@ -93,7 +93,7 @@ fn dart_target(strategy: &dyn Strategy, cx: &TargetCx<'_, '_>, job: &Job, out: &
     out.solver_calls += 1;
     let checked = match eng.chaos_solver(out, chaos_key(&(cx.tkey, 0usize))) {
         Some(c) => c,
-        None => match cx.smt.check(&job.alt) {
+        None => match cx.smt.check(cx.alt) {
             Ok(SmtResult::Sat(m)) => Checked::Sat(m),
             Ok(SmtResult::Unsat) => Checked::Unsat,
             Ok(SmtResult::Unknown) => Checked::Unknown,
@@ -105,7 +105,7 @@ fn dart_target(strategy: &dyn Strategy, cx: &TargetCx<'_, '_>, job: &Job, out: &
         Checked::Unsat => out.rejected_targets += 1,
         Checked::Unknown => {
             // One escalated-budget retry, then the ladder.
-            match eng.escalated_smt(cx.smt, &job.alt, out) {
+            match eng.escalated_smt(cx.smt, cx.alt, out) {
                 Some(SmtResult::Sat(model)) => run_solved(strategy, cx, job, &model, out),
                 Some(SmtResult::Unsat) => out.rejected_targets += 1,
                 _ => {
@@ -129,12 +129,12 @@ fn run_solved(
     out: &mut TargetOutcome,
 ) {
     let mut values = BTreeMap::new();
-    for v in job.alt.vars() {
+    for v in cx.alt.vars() {
         if let Some(Value::Int(x)) = model.var(v) {
             values.insert(v, x);
         }
     }
-    let inputs = cx.engine.merge_inputs(&job.target.parent_inputs, &values);
+    let inputs = cx.engine.merge_inputs(&job.target.parent.inputs, &values);
     let run = cx.engine.execute_run(
         inputs,
         Origin::Solved { target: job.id },

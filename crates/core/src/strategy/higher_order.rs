@@ -72,7 +72,7 @@ fn higher_order_target(
     let eng = cx.engine;
     let extra = cx
         .summaries
-        .map(|t| t.antecedent_for(&job.alt))
+        .map(|t| t.antecedent_for(cx.alt))
         .unwrap_or(Formula::True);
     let mut local = cx.snapshot.clone();
     let mut probes_left = eng.config.max_probes_per_target;
@@ -81,7 +81,7 @@ fn higher_order_target(
         let samples = if eng.config.cross_run_samples {
             local.clone()
         } else {
-            job.target.parent_samples.clone()
+            job.target.parent.samples.clone()
         };
         out.solver_calls += 1;
         query_seq += 1;
@@ -90,7 +90,7 @@ fn higher_order_target(
             Some(_) => Ok(ValidityOutcome::Unknown),
             None => cx
                 .validity
-                .check_with(eng.ctx.input_vars(), &samples, &extra, &job.alt)
+                .check_with(eng.ctx.input_vars(), &samples, &extra, cx.alt)
                 .map_err(|_| ()),
         };
         let outcome = match checked {
@@ -120,7 +120,7 @@ fn higher_order_target(
                     return;
                 }
                 probes_left -= 1;
-                let inputs = eng.merge_inputs(&job.target.parent_inputs, &probe);
+                let inputs = eng.merge_inputs(&job.target.parent.inputs, &probe);
                 let mut run = eng.execute_run(
                     inputs,
                     Origin::Probe { target: job.id },
@@ -146,7 +146,7 @@ fn higher_order_target(
             ValidityOutcome::Unknown => {
                 // One escalated-budget retry; decisive verdicts are
                 // honoured, anything else falls to the ladder.
-                match eng.escalated_validity(cx.validity, &samples, &extra, &job.alt, out) {
+                match eng.escalated_validity(cx.validity, &samples, &extra, cx.alt, out) {
                     Some(ValidityOutcome::Valid(vstrategy)) => {
                         run_strategy(
                             strategy,
@@ -198,11 +198,11 @@ fn run_strategy(
         let samples = if eng.config.cross_run_samples {
             local.clone()
         } else {
-            job.target.parent_samples.clone()
+            job.target.parent.samples.clone()
         };
         match vstrategy.interpret(&samples) {
             Interpretation::Concrete(values) => {
-                let inputs = eng.merge_inputs(&job.target.parent_inputs, &values);
+                let inputs = eng.merge_inputs(&job.target.parent.inputs, &values);
                 let rendered = vstrategy.display(eng.ctx.sig()).to_string();
                 let run = eng.execute_run(
                     inputs,
@@ -227,7 +227,7 @@ fn run_strategy(
                 // part of the strategy applied (paper: probe
                 // (x = 567, y = 10) to learn h(10)).
                 let partial = vstrategy.interpret_partial(&samples);
-                let inputs = eng.merge_inputs(&job.target.parent_inputs, &partial);
+                let inputs = eng.merge_inputs(&job.target.parent.inputs, &partial);
                 let mut run = eng.execute_run(
                     inputs,
                     Origin::Probe { target: job.id },

@@ -27,6 +27,7 @@ use crate::engine::Engine;
 use crate::report::DegradationLevel;
 use crate::summaries::SummaryTable;
 use hotg_concolic::ExecProfile;
+use hotg_logic::Formula;
 use hotg_solver::{Samples, SmtSolver, ValidityChecker};
 
 pub(crate) use dart::{DartSound, DartSoundDelayed, DartUnsound};
@@ -56,6 +57,9 @@ pub(crate) struct TargetCx<'e, 'a> {
     pub(crate) validity: &'e ValidityChecker,
     /// Schedule-independent key of this target (chaos injection).
     pub(crate) tkey: u64,
+    /// The target's alternate path constraint `ALT`, built once when
+    /// the target is processed ([`Job::alt`](crate::engine::outcome::Job::alt)).
+    pub(crate) alt: &'e Formula,
 }
 
 /// One test-generation search strategy. Implementations are stateless
