@@ -74,6 +74,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The shared campaign engine: borrows the program, the symbolic
 /// context, the static-analysis oracle, and the configuration from the
@@ -177,6 +178,8 @@ pub(crate) struct Emitter<'s> {
     /// Trace-fault counters absorbed from writers that were disabled.
     absorbed_short_writes: usize,
     absorbed_fsync_fails: usize,
+    /// Durable-writer busy time absorbed from writers that were closed.
+    absorbed_trace_busy: Duration,
     /// Recorded events consumed by the replay before it ended.
     replayed: usize,
 }
@@ -244,6 +247,7 @@ impl Emitter<'_> {
         if let Durable::Writing(w) = std::mem::replace(&mut self.durable, Durable::Off) {
             self.absorbed_short_writes += w.injected_short_writes();
             self.absorbed_fsync_fails += w.injected_fsync_fails();
+            self.absorbed_trace_busy += w.busy();
         }
     }
 
@@ -318,6 +322,14 @@ impl Emitter<'_> {
         (sw, ff)
     }
 
+    /// Total durable-writer busy time so far (closed + live writers).
+    fn trace_busy(&self) -> Duration {
+        match &self.durable {
+            Durable::Writing(w) => self.absorbed_trace_busy + w.busy(),
+            _ => self.absorbed_trace_busy,
+        }
+    }
+
     /// Closes the durable trace. Best-effort: the report is final by
     /// now (it is folded per event), so close-time errors are reported
     /// on stderr but never mutate the report.
@@ -345,6 +357,7 @@ impl Emitter<'_> {
         let (short_writes, fsync_fails) = shard.trace_fault_counts();
         self.absorbed_short_writes += short_writes;
         self.absorbed_fsync_fails += fsync_fails;
+        self.absorbed_trace_busy += shard.trace_busy();
         self.sink_errors += shard.sink_errors;
         self.replayed += shard.replayed;
         if shard.fail_fast {
@@ -463,6 +476,7 @@ impl<'a> Engine<'a> {
             fail_fast: startup_errors > 0 && policy == TraceErrorPolicy::FailFast,
             absorbed_short_writes: 0,
             absorbed_fsync_fails: 0,
+            absorbed_trace_busy: Duration::ZERO,
             replayed: 0,
         };
         em.emit(CampaignEvent::CampaignStarted {
@@ -517,6 +531,8 @@ impl<'a> Engine<'a> {
         });
         em.emit(CampaignEvent::CampaignFinished);
         em.finish();
+        // Telemetry measured outside the stream, like `elapsed`.
+        em.report.trace_write = em.trace_busy();
         (em.report, em.replayed)
     }
 

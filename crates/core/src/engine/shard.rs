@@ -179,6 +179,7 @@ impl Engine<'_> {
                 fail_fast: startup_errors > 0 && policy == TraceErrorPolicy::FailFast,
                 absorbed_short_writes: 0,
                 absorbed_fsync_fails: 0,
+                absorbed_trace_busy: std::time::Duration::ZERO,
                 replayed: 0,
             },
         }

@@ -48,6 +48,7 @@ use hotg_lang::{BranchId, Fault, FaultKind, Outcome, Program};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 /// File magic identifying version 1 of the framed trace format.
 pub const TRACE_MAGIC: &[u8; 8] = b"HOTGTRC1";
@@ -323,6 +324,8 @@ pub(crate) struct TraceWriter {
     sync_ordinal: u64,
     short_writes: usize,
     fsync_fails: usize,
+    /// Time spent encoding, writing and syncing frames.
+    busy: Duration,
 }
 
 /// Appends one `[len][crc][payload]` frame to `buf`.
@@ -345,6 +348,7 @@ impl TraceWriter {
         kill_at: Option<u64>,
     ) -> io::Result<TraceWriter> {
         let file = File::create(path)?;
+        let start = Instant::now();
         let mut w = TraceWriter {
             file,
             buf: Vec::with_capacity(4096),
@@ -356,11 +360,13 @@ impl TraceWriter {
             sync_ordinal: 0,
             short_writes: 0,
             fsync_fails: 0,
+            busy: Duration::ZERO,
         };
         w.buf.extend_from_slice(TRACE_MAGIC);
         push_frame(&mut w.buf, w_header_json(header).as_bytes());
         w.flush_buf()?;
         w.file.sync_data()?;
+        w.busy = start.elapsed();
         Ok(w)
     }
 
@@ -390,6 +396,7 @@ impl TraceWriter {
             sync_ordinal: 0,
             short_writes: 0,
             fsync_fails: 0,
+            busy: Duration::ZERO,
         })
     }
 
@@ -400,6 +407,13 @@ impl TraceWriter {
         event: &CampaignEvent,
         sync_point: bool,
     ) -> io::Result<()> {
+        let start = Instant::now();
+        let result = self.write_frame(event, sync_point);
+        self.busy += start.elapsed();
+        result
+    }
+
+    fn write_frame(&mut self, event: &CampaignEvent, sync_point: bool) -> io::Result<()> {
         if self.dead {
             return Ok(());
         }
@@ -450,8 +464,15 @@ impl TraceWriter {
         if self.dead {
             return Ok(());
         }
-        self.flush_buf()?;
-        self.sync()
+        let start = Instant::now();
+        let result = self.flush_buf().and_then(|()| self.sync());
+        self.busy += start.elapsed();
+        result
+    }
+
+    /// Time spent encoding, writing and syncing frames so far.
+    pub(crate) fn busy(&self) -> Duration {
+        self.busy
     }
 
     /// Faults injected at [`FaultSite::TraceShortWrite`].

@@ -457,3 +457,31 @@ fn jsonl_sink_errors_are_counted_not_swallowed() {
         "a broken debug sink must not perturb the campaign"
     );
 }
+
+/// `Report::trace_write` times the durable writer itself: zero without a
+/// trace, nonzero and within the campaign's wall time with one (single-
+/// and multi-shard), and invisible to the canonical report.
+#[test]
+fn trace_write_time_is_measured_and_inert() {
+    let (program, natives) = corpus::crc_guard();
+    let width = program.input_width();
+    let plain =
+        Driver::new(&program, &natives, small_config(width, 12)).run(Technique::HigherOrder);
+    assert_eq!(plain.trace_write, Duration::ZERO, "untraced campaign");
+    for shards in [1usize, 2] {
+        let mut cfg = small_config(width, 12);
+        cfg.shards = shards;
+        cfg.trace = Some(TraceConfig {
+            fsync: FsyncPolicy::EveryEvent,
+            ..TraceConfig::new(tmp(&format!("trace-write-{shards}.trace")))
+        });
+        let traced = Driver::new(&program, &natives, cfg).run(Technique::HigherOrder);
+        assert_eq!(canonical(&plain), canonical(&traced), "shards={shards}");
+        assert!(
+            traced.trace_write > Duration::ZERO && traced.trace_write <= traced.elapsed,
+            "shards={shards}: writer time {:?} outside (0, {:?}]",
+            traced.trace_write,
+            traced.elapsed
+        );
+    }
+}

@@ -31,15 +31,16 @@ pub struct Rat {
     den: i128, // invariant: den > 0, gcd(|num|, den) == 1
 }
 
-fn gcd(mut a: i128, mut b: i128) -> i128 {
-    a = a.abs();
-    b = b.abs();
+fn gcd(a: i128, b: i128) -> i128 {
+    // On magnitudes, so `i128::MIN` neither overflows `abs` nor leaves a
+    // negative remainder chain. Only gcd(MIN, MIN) = 2¹²⁷ does not fit.
+    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
     while b != 0 {
         let t = a % b;
         a = b;
         b = t;
     }
-    a
+    i128::try_from(a).expect("rational overflow in gcd")
 }
 
 impl Rat {
@@ -55,11 +56,14 @@ impl Rat {
     /// Panics if `den == 0`.
     pub fn new(num: i128, den: i128) -> Rat {
         assert!(den != 0, "rational with zero denominator");
-        let sign = if den < 0 { -1 } else { 1 };
-        let g = gcd(num, den);
-        if g == 0 {
+        if den == 1 {
+            return Rat { num, den };
+        }
+        if num == 0 {
             return Rat::ZERO;
         }
+        let sign = if den < 0 { -1 } else { 1 };
+        let g = gcd(num, den);
         Rat {
             num: sign * (num / g),
             den: (den / g).abs(),
@@ -172,6 +176,11 @@ impl From<i32> for Rat {
 impl Add for Rat {
     type Output = Rat;
     fn add(self, rhs: Rat) -> Rat {
+        // Integer fast path: the general formula below reduces to exactly
+        // this (every gcd is 1), overflowing on the same inputs.
+        if self.den == 1 && rhs.den == 1 {
+            return Rat::checked(self.num.checked_add(rhs.num), Some(1), "addition");
+        }
         // a/b + c/d = (a*d + c*b) / (b*d), reduced via gcd of denominators
         // first to keep intermediates small.
         let g = gcd(self.den, rhs.den);
@@ -196,6 +205,10 @@ impl Sub for Rat {
 impl Mul for Rat {
     type Output = Rat;
     fn mul(self, rhs: Rat) -> Rat {
+        // Integer fast path, as in `add`.
+        if self.den == 1 && rhs.den == 1 {
+            return Rat::checked(self.num.checked_mul(rhs.num), Some(1), "multiplication");
+        }
         // Cross-reduce before multiplying.
         let g1 = gcd(self.num, rhs.den);
         let g2 = gcd(rhs.num, self.den);
@@ -249,6 +262,9 @@ impl PartialOrd for Rat {
 
 impl Ord for Rat {
     fn cmp(&self, other: &Rat) -> Ordering {
+        if self.den == 1 && other.den == 1 {
+            return self.num.cmp(&other.num);
+        }
         // a/b <=> c/d  compares a*d <=> c*b (denominators positive).
         let lhs = self
             .num

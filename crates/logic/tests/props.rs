@@ -62,6 +62,79 @@ proptest! {
     }
 }
 
+/// Integers clustered where `i128` sums and products overflow: near zero,
+/// near both limits, and near √MAX (≈ 1.3·10¹⁹). `MIN` itself is left out:
+/// negating it overflows before any rational operation runs.
+fn arb_wide_int() -> impl Strategy<Value = i128> {
+    let centers = prop_oneof![
+        Just(0i128),
+        Just(i128::MAX),
+        Just(i128::MIN + 1),
+        Just(1i128 << 63),
+        Just(-(1i128 << 63)),
+        Just(13_043_817_825_332_782_212i128),
+        Just(-13_043_817_825_332_782_212i128),
+    ];
+    (centers, -1000i64..=1000).prop_map(|(c, d)| c.saturating_add(i128::from(d)).max(i128::MIN + 1))
+}
+
+fn gcd(a: i128, b: i128) -> i128 {
+    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a as i128
+}
+
+/// `a/b + c/d` by the general cross-reduced formula; `None` on overflow.
+fn general_add(x: Rat, y: Rat) -> Option<Rat> {
+    let g = gcd(x.denom(), y.denom());
+    let (lb, rb) = (x.denom() / g, y.denom() / g);
+    let num = x
+        .numer()
+        .checked_mul(rb)?
+        .checked_add(y.numer().checked_mul(lb)?)?;
+    Some(Rat::new(num, x.denom().checked_mul(rb)?))
+}
+
+/// `a/b · c/d` by the general cross-reduced formula; `None` on overflow.
+fn general_mul(x: Rat, y: Rat) -> Option<Rat> {
+    let g1 = gcd(x.numer(), y.denom());
+    let g2 = gcd(y.numer(), x.denom());
+    let num = (x.numer() / g1).checked_mul(y.numer() / g2)?;
+    let den = (x.denom() / g2).checked_mul(y.denom() / g1)?;
+    Some(Rat::new(num, den))
+}
+
+/// Runs a `Rat` operation, mapping its overflow panic (whose message must
+/// name `op`) to `None`.
+fn caught(op: &str, f: impl FnOnce() -> Rat + std::panic::UnwindSafe) -> Option<Rat> {
+    match std::panic::catch_unwind(f) {
+        Ok(r) => Some(r),
+        Err(payload) => {
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            assert_eq!(msg, format!("rational overflow in {op}"));
+            None
+        }
+    }
+}
+
+proptest! {
+    /// The integer fast path of `+`, `-` and `*` returns what the general
+    /// formula returns, and overflow-panics on exactly the same inputs.
+    #[test]
+    fn rat_integer_fast_path_matches_general(a in arb_wide_int(), b in arb_wide_int()) {
+        let (x, y) = (Rat::from(a), Rat::from(b));
+        prop_assert_eq!(caught("addition", || x + y), general_add(x, y));
+        prop_assert_eq!(caught("addition", || x - y), general_add(x, -y));
+        prop_assert_eq!(caught("multiplication", || x * y), general_mul(x, y));
+    }
+}
+
 /// Random linear terms over two variables (no UF applications, no
 /// division), paired with a model, so that linearization can be compared
 /// against direct evaluation.

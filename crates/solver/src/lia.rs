@@ -187,20 +187,17 @@ pub fn solve_int_budgeted(
         }
     }
 
-    // Key universe.
-    let mut keys: Vec<LinKey> = Vec::new();
-    for con in constraints {
-        for (k, _) in &con.coeffs {
-            if !keys.contains(k) {
-                keys.push(k.clone());
-            }
-        }
-    }
-    keys.sort();
+    // Key universe: every key of every constraint, sorted and unique
+    // (sorted by reference, so only the unique keys are cloned).
+    let mut refs: Vec<&LinKey> = constraints
+        .iter()
+        .flat_map(|con| con.coeffs.iter().map(|(k, _)| k))
+        .collect();
+    refs.sort();
+    refs.dedup();
+    let keys: Vec<LinKey> = refs.into_iter().cloned().collect();
 
-    let extra: Vec<(usize, BoundKind, Rat)> = Vec::new();
-
-    let full = branch(constraints, &keys, config, extra.clone(), budget);
+    let full = branch(constraints, &keys, config, budget);
     if config.prefer_small {
         if let LiaResult::Sat(ref fallback) = full {
             // The problem is feasible; look for a small-magnitude model
@@ -221,8 +218,7 @@ pub fn solve_int_budgeted(
                     prefer_small: false,
                     ..*config
                 };
-                if let LiaResult::Sat(m) = branch(constraints, &keys, &boxed, extra.clone(), budget)
-                {
+                if let LiaResult::Sat(m) = branch(constraints, &keys, &boxed, budget) {
                     return LiaResult::Sat(m);
                 }
             }
@@ -231,29 +227,49 @@ pub fn solve_int_budgeted(
     full
 }
 
+/// A branch-and-bound node: the integer box `(lower, upper)` per key, the
+/// artificial global bounds tightened by every split on the path to it.
+type NodeBox = Vec<(i128, i128)>;
+
 /// Branch-and-bound over the rational relaxation, depth-first with an
 /// explicit worklist: recursion depth is bounded by the node budget
 /// (20k by default), which overflows the thread stack on hard
 /// instances, so the search must not use the call stack.
+///
+/// The tableau (variables, artificial bounds, rows and constraint bounds)
+/// is built once; every node starts from an exact copy of it and asserts
+/// only its box. A node is its box rather than the list of splits on its
+/// path, so the worklist stays linear in the search depth.
 fn branch(
     constraints: &[IntConstraint],
     keys: &[LinKey],
     config: &LiaConfig,
-    extra_bounds: Vec<(usize, BoundKind, Rat)>,
     budget: &mut u64,
 ) -> LiaResult {
-    let mut work: Vec<Vec<(usize, BoundKind, Rat)>> = vec![extra_bounds];
-    while let Some(bounds) = work.pop() {
-        match branch_node(constraints, keys, config, &bounds, budget) {
+    let base = base_tableau(constraints, keys, config);
+    let root: NodeBox = vec![(config.var_min.into(), config.var_max.into()); keys.len()];
+    let mut work: Vec<NodeBox> = vec![root];
+    let mut scratch = Simplex::new();
+    while let Some(node) = work.pop() {
+        if !take_node(config, budget) {
+            return LiaResult::Unknown;
+        }
+        // A base that is infeasible (or broken) decides the first node.
+        let base = match &base {
+            Ok(base) => base,
+            Err(result) => return result.clone(),
+        };
+        scratch.clone_from(base);
+        match branch_node(&mut scratch, keys, config, &node) {
             NodeOutcome::Done(result) => return result,
             NodeOutcome::Infeasible => {}
             NodeOutcome::Split { index, floor } => {
                 // Left branch (key ≤ floor) explored first: push right, then
                 // left, so the stack pops left first.
-                let mut left = bounds.clone();
-                left.push((index, BoundKind::Upper, Rat::from(floor)));
-                let mut right = bounds;
-                right.push((index, BoundKind::Lower, Rat::from(floor + 1)));
+                let mut left = node.clone();
+                left[index].1 = floor;
+                let mut right = node;
+                right[index].0 = floor + 1;
                 work.push(right);
                 work.push(left);
             }
@@ -265,48 +281,40 @@ fn branch(
     LiaResult::Unsat { core: None }
 }
 
-/// Outcome of evaluating a single branch-and-bound node.
-enum NodeOutcome {
-    /// The whole search is decided: Sat, Unknown, or Unsat with a core
-    /// independent of the branch bounds (hence sound globally).
-    Done(LiaResult),
-    /// This node is infeasible only together with its branch bounds;
-    /// sibling nodes must still be explored.
-    Infeasible,
-    /// Relaxation is feasible but `keys[index]` took a fractional value
-    /// with the given floor: split into two child nodes.
-    Split { index: usize, floor: i128 },
+/// Draws one node from the budget, polling the wall-clock cutoff: a node
+/// costs a full simplex solve, so the `Instant::now()` read (skipped
+/// entirely when no deadline is set) is noise. `false` once the search
+/// must concede `Unknown`.
+fn take_node(config: &LiaConfig, budget: &mut u64) -> bool {
+    if *budget == 0 {
+        return false;
+    }
+    if config.deadline.expired() {
+        *budget = 0;
+        return false;
+    }
+    *budget -= 1;
+    true
 }
 
-fn branch_node(
+/// The tableau every node of one search starts from: key `i` is simplex
+/// variable `i` inside the artificial global bounds, and every constraint
+/// is a slack row with its tagged bounds. `Err` carries the whole
+/// search's result when the tableau is infeasible before any split.
+fn base_tableau(
     constraints: &[IntConstraint],
     keys: &[LinKey],
     config: &LiaConfig,
-    extra_bounds: &[(usize, BoundKind, Rat)],
-    budget: &mut u64,
-) -> NodeOutcome {
-    if *budget == 0 {
-        return NodeOutcome::Done(LiaResult::Unknown);
-    }
-    // Poll the wall-clock cutoff per node: a node costs a full simplex
-    // solve, so the `Instant::now()` read (skipped entirely when no
-    // deadline is set) is noise.
-    if config.deadline.expired() {
-        *budget = 0;
-        return NodeOutcome::Done(LiaResult::Unknown);
-    }
-    *budget -= 1;
-
+) -> Result<Simplex, LiaResult> {
     let mut s = Simplex::new();
-    let idx: Vec<usize> = keys.iter().map(|_| s.new_var()).collect();
-    for (i, _) in keys.iter().enumerate() {
-        let v = idx[i];
+    for _ in keys {
+        let v = s.new_var();
         if s.assert_bound(v, BoundKind::Lower, Rat::from(config.var_min), None)
             .is_err()
             || s.assert_bound(v, BoundKind::Upper, Rat::from(config.var_max), None)
                 .is_err()
         {
-            return NodeOutcome::Infeasible;
+            return Err(LiaResult::Unsat { core: None });
         }
     }
     for (ci, con) in constraints.iter().enumerate() {
@@ -322,9 +330,9 @@ fn branch_node(
             // panicking a campaign worker.
             let Ok(i) = keys.binary_search(k) else {
                 debug_assert!(false, "constraint key missing from universe");
-                return NodeOutcome::Done(LiaResult::Unknown);
+                return Err(LiaResult::Unknown);
             };
-            terms.push((idx[i], Rat::from(*c)));
+            terms.push((i, Rat::from(*c)));
         }
         let slack = s.add_row(&terms);
         let target = Rat::from(-con.constant);
@@ -335,11 +343,54 @@ fn branch_node(
             ConKind::Le => s.assert_bound(slack, BoundKind::Upper, target, tag),
         };
         if let Err(expl) = result {
-            return unsat_node(&expl);
+            return Err(LiaResult::Unsat {
+                core: core_from_explanation(&expl),
+            });
         }
     }
-    for &(i, kind, c) in extra_bounds {
-        if let Err(expl) = s.assert_bound(idx[i], kind, c, None) {
+    Ok(s)
+}
+
+/// Outcome of evaluating a single branch-and-bound node.
+enum NodeOutcome {
+    /// The whole search is decided: Sat, Unknown, or Unsat with a core
+    /// independent of the branch bounds (hence sound globally).
+    Done(LiaResult),
+    /// This node is infeasible only together with its branch bounds;
+    /// sibling nodes must still be explored.
+    Infeasible,
+    /// Relaxation is feasible but `keys[index]` took a fractional value
+    /// with the given floor: split into two child nodes.
+    Split { index: usize, floor: i128 },
+}
+
+/// Solves one node: `s` holds an exact copy of the search's base tableau,
+/// into which the node's box is asserted.
+///
+/// Asserting the box per key gives exactly the tableau that asserting
+/// each split on the path in order would: every split strictly tightens
+/// its key's interval, and a nonbasic variable clamped into nested
+/// intervals ends at the same value whichever way it gets there.
+fn branch_node(
+    s: &mut Simplex,
+    keys: &[LinKey],
+    config: &LiaConfig,
+    node: &NodeBox,
+) -> NodeOutcome {
+    for (i, &(lo, hi)) in node.iter().enumerate() {
+        let result = if lo > i128::from(config.var_min) {
+            s.assert_bound(i, BoundKind::Lower, Rat::from(lo), None)
+        } else {
+            Ok(())
+        };
+        let result = result.and_then(|()| {
+            if hi < i128::from(config.var_max) {
+                s.assert_bound(i, BoundKind::Upper, Rat::from(hi), None)
+            } else {
+                Ok(())
+            }
+        });
+        if let Err(expl) = result {
             return unsat_node(&expl);
         }
     }
@@ -348,19 +399,11 @@ fn branch_node(
         SimplexResult::Unsat(expl) => unsat_node(&expl),
         SimplexResult::Sat(values) => {
             // Find a fractional key.
-            let mut fractional: Option<(usize, Rat)> = None;
-            for (i, _) in keys.iter().enumerate() {
-                let v = values[idx[i]];
-                if !v.is_integer() {
-                    fractional = Some((i, v));
-                    break;
-                }
-            }
+            let fractional = values[..keys.len()].iter().position(|v| !v.is_integer());
             match fractional {
                 None => {
                     let mut out = BTreeMap::new();
-                    for (i, k) in keys.iter().enumerate() {
-                        let v = values[idx[i]];
+                    for (k, v) in keys.iter().zip(&values) {
                         // Integral but outside i64 (exact rationals are
                         // i128-backed): the model is unrepresentable in the
                         // engine's i64 input domain, so report Unknown
@@ -372,9 +415,9 @@ fn branch_node(
                     }
                     NodeOutcome::Done(LiaResult::Sat(out))
                 }
-                Some((i, v)) => NodeOutcome::Split {
+                Some(i) => NodeOutcome::Split {
                     index: i,
-                    floor: v.floor(),
+                    floor: values[i].floor(),
                 },
             }
         }

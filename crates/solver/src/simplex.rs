@@ -45,12 +45,75 @@ struct VarState {
     row: Option<usize>,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Row {
     /// The basic variable this row defines.
     basic: usize,
-    /// `basic = Σ coeff · nonbasic` (only nonbasic vars appear).
+    /// `basic = Σ coeff · nonbasic` (only nonbasic vars appear), sorted by
+    /// variable index with no duplicates and no zero coefficients.
     terms: Vec<(usize, Rat)>,
+}
+
+impl Clone for Row {
+    fn clone(&self) -> Row {
+        Row {
+            basic: self.basic,
+            terms: self.terms.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Row) {
+        self.basic = source.basic;
+        self.terms.clone_from(&source.terms);
+    }
+}
+
+impl Row {
+    /// The coefficient of `var` in this row, if it appears.
+    fn coeff(&self, var: usize) -> Option<Rat> {
+        self.terms
+            .binary_search_by_key(&var, |&(w, _)| w)
+            .ok()
+            .map(|i| self.terms[i].1)
+    }
+}
+
+/// The row invariant: sorted by variable index, no duplicates, no zeros.
+fn canonical(terms: &[(usize, Rat)]) -> bool {
+    terms.windows(2).all(|p| p[0].0 < p[1].0) && terms.iter().all(|(_, c)| !c.is_zero())
+}
+
+/// `row + c · sub` for two canonical rows, dropping cancelled terms: a
+/// linear merge by variable index.
+fn add_scaled(row: &[(usize, Rat)], c: Rat, sub: &[(usize, Rat)]) -> Vec<(usize, Rat)> {
+    let mut out = Vec::with_capacity(row.len() + sub.len());
+    let (mut i, mut j) = (0, 0);
+    while i < row.len() || j < sub.len() {
+        let next = match (row.get(i), sub.get(j)) {
+            (Some(&(w, a)), Some(&(v, b))) if w == v => {
+                i += 1;
+                j += 1;
+                (w, a + c * b)
+            }
+            (Some(&(w, a)), Some(&(v, _))) if w < v => {
+                i += 1;
+                (w, a)
+            }
+            (Some(&(w, a)), None) => {
+                i += 1;
+                (w, a)
+            }
+            (_, Some(&(v, b))) => {
+                j += 1;
+                (v, c * b)
+            }
+            (None, None) => unreachable!("loop condition"),
+        };
+        if !next.1.is_zero() {
+            out.push(next);
+        }
+    }
+    out
 }
 
 /// A simplex tableau over rationals.
@@ -75,12 +138,30 @@ struct Row {
 /// s.assert_bound(y, BoundKind::Lower, Rat::from(1), Some(2)).unwrap();
 /// assert!(matches!(s.check(), SimplexResult::Sat(_)));
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct Simplex {
     vars: Vec<VarState>,
     rows: Vec<Row>,
     /// Number of pivots performed (for budget accounting).
     pivots: u64,
+}
+
+/// `clone_from` reuses the row allocations, so resetting a scratch
+/// tableau to a base costs copies, not allocations.
+impl Clone for Simplex {
+    fn clone(&self) -> Simplex {
+        Simplex {
+            vars: self.vars.clone(),
+            rows: self.rows.clone(),
+            pivots: self.pivots,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Simplex) {
+        self.vars.clone_from(&source.vars);
+        self.rows.clone_from(&source.rows);
+        self.pivots = source.pivots;
+    }
 }
 
 impl Simplex {
@@ -120,24 +201,26 @@ impl Simplex {
     /// Panics if a referenced variable is out of range.
     pub fn add_row(&mut self, terms: &[(usize, Rat)]) -> usize {
         let s = self.new_var();
-        // Expand any basic variables through their rows.
-        let mut expanded: Vec<Rat> = vec![Rat::ZERO; self.vars.len()];
+        // Expand any basic variables through their rows, then sum the
+        // summands of each variable (the stable sort keeps their order).
+        let mut expanded: Vec<(usize, Rat)> = Vec::with_capacity(terms.len());
         for &(v, c) in terms {
             assert!(v < self.vars.len(), "row references unknown variable");
-            if let Some(r) = self.vars[v].row {
-                for &(w, cw) in &self.rows[r].terms {
-                    expanded[w] += c * cw;
-                }
-            } else {
-                expanded[v] += c;
+            match self.vars[v].row {
+                Some(r) => expanded.extend(self.rows[r].terms.iter().map(|&(w, cw)| (w, c * cw))),
+                None => expanded.push((v, c)),
             }
         }
-        let row_terms: Vec<(usize, Rat)> = expanded
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.is_zero())
-            .map(|(v, c)| (v, *c))
-            .collect();
+        expanded.sort_by_key(|&(w, _)| w);
+        let mut row_terms: Vec<(usize, Rat)> = Vec::with_capacity(expanded.len());
+        for (w, c) in expanded {
+            match row_terms.last_mut() {
+                Some((last, sum)) if *last == w => *sum += c,
+                _ => row_terms.push((w, c)),
+            }
+        }
+        row_terms.retain(|(_, c)| !c.is_zero());
+        debug_assert!(canonical(&row_terms));
         // Value of the slack under current assignment.
         let value = row_terms.iter().map(|&(v, c)| self.vars[v].value * c).sum();
         self.vars[s].value = value;
@@ -207,16 +290,10 @@ impl Simplex {
         if delta.is_zero() {
             return;
         }
-        for r in 0..self.rows.len() {
-            let coeff = self.rows[r]
-                .terms
-                .iter()
-                .find(|&&(w, _)| w == var)
-                .map(|&(_, c)| c);
-            if let Some(c) = coeff {
-                let b = self.rows[r].basic;
-                let nv = self.vars[b].value + c * delta;
-                self.vars[b].value = nv;
+        for row in &self.rows {
+            if let Some(c) = row.coeff(var) {
+                let b = row.basic;
+                self.vars[b].value += c * delta;
             }
         }
         self.vars[var].value = v;
@@ -250,10 +327,7 @@ impl Simplex {
         self.pivots += 1;
         let bi = self.rows[r].basic;
         let a_ij = self.rows[r]
-            .terms
-            .iter()
-            .find(|&&(w, _)| w == nj)
-            .map(|&(_, c)| c)
+            .coeff(nj)
             // Invariant: `nj` was selected as the entering variable *from*
             // this row's terms, so its column is present by construction.
             .expect("pivot column must appear in row");
@@ -263,56 +337,50 @@ impl Simplex {
         self.vars[bi].value = target;
         let new_nj = self.vars[nj].value + theta;
         self.vars[nj].value = new_nj;
-        for rr in 0..self.rows.len() {
+        for (rr, row) in self.rows.iter().enumerate() {
             if rr == r {
                 continue;
             }
-            if let Some(&(_, c)) = self.rows[rr].terms.iter().find(|&&(w, _)| w == nj) {
-                let b = self.rows[rr].basic;
-                let nv = self.vars[b].value + c * theta;
-                self.vars[b].value = nv;
+            if let Some(c) = row.coeff(nj) {
+                let b = row.basic;
+                self.vars[b].value += c * theta;
             }
         }
 
         // Tableau pivot: express nj from row r:
         //   bi = Σ terms  ⇒  nj = (bi - Σ_{w≠nj} a_iw·w) / a_ij
-        let old_terms = std::mem::take(&mut self.rows[r].terms);
+        // `bi` is nonbasic from here on and appears in no row yet, so it
+        // slots into the sorted row at its index.
         let inv = a_ij.recip();
-        let mut nj_terms: Vec<(usize, Rat)> = vec![(bi, inv)];
+        let old_terms = std::mem::take(&mut self.rows[r].terms);
+        let mut nj_terms: Vec<(usize, Rat)> = Vec::with_capacity(old_terms.len());
+        let mut bi_term = Some((bi, inv));
         for &(w, c) in &old_terms {
+            if w > bi {
+                nj_terms.extend(bi_term.take());
+            }
             if w != nj {
                 nj_terms.push((w, -(c * inv)));
             }
         }
-        self.rows[r].basic = nj;
-        self.rows[r].terms = nj_terms.clone();
-        self.vars[nj].row = Some(r);
-        self.vars[bi].row = None;
+        nj_terms.extend(bi_term);
+        debug_assert!(canonical(&nj_terms));
 
         // Substitute nj in all other rows.
-        for rr in 0..self.rows.len() {
+        for (rr, row) in self.rows.iter_mut().enumerate() {
             if rr == r {
                 continue;
             }
-            let coeff = self.rows[rr]
-                .terms
-                .iter()
-                .find(|&&(w, _)| w == nj)
-                .map(|&(_, c)| c);
-            if let Some(c) = coeff {
-                let mut merged: std::collections::BTreeMap<usize, Rat> = self.rows[rr]
-                    .terms
-                    .iter()
-                    .filter(|&&(w, _)| w != nj)
-                    .map(|&(w, cc)| (w, cc))
-                    .collect();
-                for &(w, cw) in &nj_terms {
-                    let slot = merged.entry(w).or_insert(Rat::ZERO);
-                    *slot += c * cw;
-                }
-                self.rows[rr].terms = merged.into_iter().filter(|(_, c)| !c.is_zero()).collect();
+            if let Ok(at) = row.terms.binary_search_by_key(&nj, |&(w, _)| w) {
+                let c = row.terms.remove(at).1;
+                row.terms = add_scaled(&row.terms, c, &nj_terms);
+                debug_assert!(canonical(&row.terms));
             }
         }
+        self.rows[r].basic = nj;
+        self.rows[r].terms = nj_terms;
+        self.vars[nj].row = Some(r);
+        self.vars[bi].row = None;
     }
 
     /// Builds the conflict explanation for row `r` whose basic variable is
@@ -385,11 +453,10 @@ impl Simplex {
                 self.vars[bi].upper.expect("violated upper bound exists").0
             };
             // Entering variable: smallest-index nonbasic var that can move
-            // the basic variable in the needed direction.
+            // the basic variable in the needed direction — the first
+            // qualifying term, as rows are sorted.
             let mut entering: Option<usize> = None;
-            let mut terms: Vec<(usize, Rat)> = self.rows[r].terms.clone();
-            terms.sort_by_key(|&(w, _)| w);
-            for &(w, c) in &terms {
+            for &(w, c) in &self.rows[r].terms {
                 let ok = if below {
                     // need to increase bi
                     (c.is_positive() && self.can_increase(w))
@@ -610,6 +677,53 @@ mod tests {
             }
             SimplexResult::Unsat(_) => panic!("expected SAT"),
         }
+    }
+
+    /// After random `add_row` / `assert_bound` / `check` sequences every
+    /// row is sorted by variable index, without duplicates or zero
+    /// coefficients, and mentions only nonbasic variables.
+    #[test]
+    fn rows_stay_canonical() {
+        let mut rng = hotg_prop::TestRng::for_test("rows_stay_canonical");
+        let mut pivots = 0;
+        for _ in 0..300 {
+            let mut s = Simplex::new();
+            for _ in 0..(2 + rng.below(5)) {
+                s.new_var();
+            }
+            for step in 0..30u32 {
+                match rng.below(5) {
+                    0 => {
+                        let terms: Vec<(usize, Rat)> = (0..1 + rng.below(4))
+                            .map(|_| {
+                                let v = rng.below(s.var_count() as u64) as usize;
+                                (v, Rat::new(rng.in_span(-4, 4), rng.in_span(1, 3)))
+                            })
+                            .collect();
+                        s.add_row(&terms);
+                    }
+                    1 => {
+                        if let SimplexResult::Unsat(_) = s.check() {
+                            break;
+                        }
+                    }
+                    _ => {
+                        let v = rng.below(s.var_count() as u64) as usize;
+                        let kind = [BoundKind::Lower, BoundKind::Upper][rng.below(2) as usize];
+                        let c = Rat::new(rng.in_span(-9, 9), rng.in_span(1, 2));
+                        if s.assert_bound(v, kind, c, Some(step)).is_err() {
+                            break;
+                        }
+                    }
+                }
+                for row in &s.rows {
+                    assert!(canonical(&row.terms), "{:?}", row.terms);
+                    assert!(row.terms.iter().all(|&(w, _)| s.vars[w].row.is_none()));
+                }
+            }
+            pivots += s.pivots();
+        }
+        assert!(pivots > 100, "the sequences must pivot: {pivots}");
     }
 
     #[test]
